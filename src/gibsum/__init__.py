@@ -48,7 +48,6 @@ from .verifier import (
     descriptor,
     effective_inputs,
     identity_ids,
-    registry_self_check,
     render_value,
     sweep,
     verify_one,
@@ -91,7 +90,6 @@ __all__ = [
     "recip_lucas_special",
     "recip_sum_closed",
     "reciprocal_window",
-    "registry_self_check",
     "render_value",
     "sum_cubes_product_closed",
     "sum_sixth_closed",

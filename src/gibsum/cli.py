@@ -23,6 +23,7 @@ from .verifier import (
     REGISTRY,
     TSV_COLUMNS,
     GridSpec,
+    IdentityDescriptor,
     VerificationReport,
     descriptor,
     effective_inputs,
@@ -66,7 +67,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _warn_ignored_flags(desc, args) -> None:
+def _point_inputs(args) -> tuple[IdentityDescriptor, SequenceSpec, int]:
+    """Descriptor, seeds (default 0, 1) and shift (default 0) of eval/bench args.
+
+    Values the identity fixes replace the flags, with a warning on stderr.
+    """
+    desc = descriptor(args.identity)
     if desc.seeds is not None and (args.g0 is not None or args.g1 is not None):
         print(
             f"warning: {desc.id} has fixed seeds ({desc.seeds.g0}, {desc.seeds.g1}); "
@@ -78,6 +84,12 @@ def _warn_ignored_flags(desc, args) -> None:
             f"warning: {desc.id} has fixed shift t = {desc.fixed_t}; ignoring --t",
             file=sys.stderr,
         )
+    spec = SequenceSpec(
+        args.g0 if args.g0 is not None else 0,
+        args.g1 if args.g1 is not None else 1,
+    )
+    spec, t = effective_inputs(desc, spec, args.t if args.t is not None else 0)
+    return desc, spec, t
 
 
 def _digest(value) -> dict:
@@ -111,7 +123,7 @@ def run_bench(
     closed_value = None
     for _ in range(repeats):
         started = time.perf_counter()
-        closed_value = desc.evaluate(spec, t, n)
+        closed_value = desc.closed(spec, t, n)
         closed_times.append(time.perf_counter() - started)
     result = {
         "identity": desc.id,
@@ -158,20 +170,13 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    desc = descriptor(args.identity)
-    _warn_ignored_flags(desc, args)
-    spec = SequenceSpec(
-        args.g0 if args.g0 is not None else 0,
-        args.g1 if args.g1 is not None else 1,
-    )
-    t = args.t if args.t is not None else 0
-    spec, t = effective_inputs(desc, spec, t)
+    desc, spec, t = _point_inputs(args)
     n = args.n
     if desc.min_n is not None and n < desc.min_n:
         raise DomainError(f"identity {desc.id} requires n >= {desc.min_n}, got {n}")
     closed_value = oracle_value = None
     if args.method in ("closed", "both"):
-        closed_value = desc.evaluate(spec, t, n)
+        closed_value = desc.closed(spec, t, n)
     if args.method in ("oracle", "both"):
         oracle_value = oracle_sum(desc.kind, spec, t, n) * desc.oracle_scale
     match = Fraction(closed_value) == oracle_value if args.method == "both" else None
@@ -237,13 +242,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    desc = descriptor(args.identity)
-    _warn_ignored_flags(desc, args)
-    spec = SequenceSpec(
-        args.g0 if args.g0 is not None else 0,
-        args.g1 if args.g1 is not None else 1,
-    )
-    t = args.t if args.t is not None else 0
+    desc, spec, t = _point_inputs(args)
     result = run_bench(
         desc.id, spec, t, args.n, repeats=args.repeat, force_oracle=args.force_oracle
     )

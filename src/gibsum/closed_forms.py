@@ -27,22 +27,6 @@ from .sequences import (
     term,
 )
 
-__all__ = [
-    "sum_squares_closed",
-    "sum_sixth_closed",
-    "fib_sixth_closed",
-    "lucas_sixth_closed",
-    "alt_sum_fifth_closed",
-    "fib_alt_f5l_closed",
-    "lucas_alt_l5f_closed",
-    "sum_cubes_product_closed",
-    "recip_sum_closed",
-    "treeby_f3_closed",
-    "treeby_l3_closed",
-    "recip_fib_special",
-    "recip_lucas_special",
-]
-
 
 def _exact_quarter(num: int, op: str) -> int:
     q, r = divmod(num, 4)

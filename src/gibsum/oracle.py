@@ -13,7 +13,7 @@ import enum
 from fractions import Fraction
 
 from .errors import ZeroTermError
-from .sequences import SequenceSpec, first_zero_in_window, reciprocal_window, term
+from .sequences import SequenceSpec, term
 
 
 class SummandKind(enum.Enum):
@@ -57,11 +57,9 @@ def oracle_term(kind: SummandKind, spec: SequenceSpec, t: int, j: int) -> Fracti
     """The j-th summand of the given family, as an exact rational."""
     m = j + t
     lo, hi = _WINDOW_OFFSETS[kind]
-    if kind is SummandKind.RECIPROCAL_WINDOW:
-        zero = first_zero_in_window(spec, m + lo, m + hi)
-        if zero is not None:
-            raise ZeroTermError(zero, spec.seeds)
     window = [term(spec, m + off) for off in range(lo, hi + 1)]
+    if kind is SummandKind.RECIPROCAL_WINDOW and 0 in window:
+        raise ZeroTermError(m + lo + window.index(0), spec.seeds)
     return Fraction(_summand(kind, window, j))
 
 
@@ -69,25 +67,23 @@ def oracle_sum(kind: SummandKind, spec: SequenceSpec, t: int, n: int) -> Fractio
     """Term-by-term sum of the family over j in 1..n, as an exact rational.
 
     Follows the shared partial-sum convention: empty at n = 0, and the
-    negated sum over j in n+1..0 for n < 0. For the reciprocal family the
-    whole touched index window is scanned for zero terms up front, and the
-    first zero index is reported.
+    negated sum over j in n+1..0 for n < 0. For the reciprocal family each
+    term is checked for zero as the window slides upward, and the first
+    zero index is reported. Even the empty sum touches G(t)..G(t+2).
     """
-    if kind is SummandKind.RECIPROCAL_WINDOW:
-        lo, hi = reciprocal_window(t, n)
-        zero = first_zero_in_window(spec, lo, hi)
-        if zero is not None:
-            raise ZeroTermError(zero, spec.seeds)
-    if n == 0:
-        return Fraction(0)
-    if n > 0:
+    if n >= 0:
         start, count, negate = 1, n, False
     else:
         start, count, negate = n + 1, -n, True
     off_lo, off_hi = _WINDOW_OFFSETS[kind]
     window = [term(spec, start + t + off) for off in range(off_lo, off_hi + 1)]
-    total = Fraction(0) if kind is SummandKind.RECIPROCAL_WINDOW else 0
+    recip = kind is SummandKind.RECIPROCAL_WINDOW
+    if recip and 0 in window[:-1]:
+        raise ZeroTermError(start + t + off_lo + window.index(0), spec.seeds)
+    total = Fraction(0) if recip else 0
     for j in range(start, start + count):
+        if recip and window[-1] == 0:
+            raise ZeroTermError(j + t + off_hi, spec.seeds)
         total += _summand(kind, window, j)
         window.append(window[-1] + window[-2])
         window.pop(0)

@@ -2,6 +2,7 @@
 
 The registry binds each identity id to its closed form, its summand family,
 and its validity domain (fixed seeds, fixed shift, smallest supported n).
+It is the one declaration of an identity; nothing else lists them.
 verify_one() compares one grid point, sweep() walks a whole grid in a fixed
 deterministic order, and the telescoping / point-identity suites realize the
 properties the closed forms are derived from.
@@ -15,21 +16,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from . import closed_forms
-from .closed_forms import (
-    alt_sum_fifth_closed,
-    fib_alt_f5l_closed,
-    fib_sixth_closed,
-    lucas_alt_l5f_closed,
-    lucas_sixth_closed,
-    recip_fib_special,
-    recip_lucas_special,
-    recip_sum_closed,
-    sum_cubes_product_closed,
-    sum_sixth_closed,
-    sum_squares_closed,
-    treeby_f3_closed,
-    treeby_l3_closed,
-)
 from .errors import UnknownIdentityError, ZeroTermError
 from .oracle import SummandKind, oracle_sum, oracle_term
 from .sequences import FIBONACCI, LUCAS, SequenceSpec, characteristic_e, lucas, term
@@ -118,95 +104,99 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
-    """Registry entry binding an identity id to its closed form and domain."""
+    """Registry entry binding an identity id to its closed form and domain.
+
+    ``evaluate`` is the closed-forms function itself. It takes (spec, t, n),
+    or (t, n) when the entry fixes the seeds, or (n,) when it fixes the
+    seeds and the shift; closed() passes the matching arguments.
+    """
 
     id: str
     kind: SummandKind
-    operation: str  # closed-forms function name, for the registry self-check
     summand: str
     closed_form: str
     source: str
-    evaluate: Callable[[SequenceSpec, int, int], ExactValue]
+    evaluate: Callable[..., ExactValue]
     seeds: Optional[SequenceSpec] = None  # fixed seeds; None = seed-free
     fixed_t: Optional[int] = None         # fixed shift; None = t-free
     min_n: Optional[int] = None           # smallest supported n; None = all integers
     oracle_scale: Fraction = Fraction(1)  # closed form = oracle_sum * scale
+
+    def closed(self, spec: SequenceSpec, t: int, n: int) -> ExactValue:
+        """The closed form at (spec, t, n), dropping the arguments it fixes."""
+        if self.seeds is None:
+            return self.evaluate(spec, t, n)
+        if self.fixed_t is None:
+            return self.evaluate(t, n)
+        return self.evaluate(n)
 
 
 REGISTRY: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor(
         id="sum_g6",
         kind=SummandKind.SIXTH_POWER,
-        operation="sum_sixth_closed",
         summand="G(j+t)^6",
         closed_form="[G(n+t)^5 G(n+t+3) - G(t)^5 G(t+3) + e^2 (G(n+t)(G(n+t+1)+G(n+t-1)) - G(t)(G(t+1)+G(t-1)))] / 4",
         source="extends the Fibonacci/Lucas sixth-power sums of Ohtsuka and Nakamura (2010)",
-        evaluate=sum_sixth_closed,
+        evaluate=closed_forms.sum_sixth_closed,
     ),
     IdentityDescriptor(
         id="sum_g2",
         kind=SummandKind.SQUARE,
-        operation="sum_squares_closed",
         summand="G(j+t)^2",
         closed_form="G(n+t) G(n+t+1) - G(t) G(t+1)",
         source="classical telescoping of consecutive-term products",
-        evaluate=sum_squares_closed,
+        evaluate=closed_forms.sum_squares_closed,
     ),
     IdentityDescriptor(
         id="alt_g5",
         kind=SummandKind.ALT_FIFTH_NEIGHBOR,
-        operation="alt_sum_fifth_closed",
         summand="(-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1))",
         closed_form="(-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t), P(m) = (G(m)G(m+1)G(m+2))^2, Q(m) = G(m+1)^4 G(m)^2",
         source="alternating telescoping over the squared triple-product window",
-        evaluate=alt_sum_fifth_closed,
+        evaluate=closed_forms.alt_sum_fifth_closed,
     ),
     IdentityDescriptor(
         id="sum_g3g3",
         kind=SummandKind.CUBE_PRODUCT,
-        operation="sum_cubes_product_closed",
         summand="G(j+t)^3 G(j+t+1)^3",
         closed_form="(P(n+t) - P(t)) / 4",
         source="extends the cube-product sums of Treeby (2016)",
-        evaluate=sum_cubes_product_closed,
+        evaluate=closed_forms.sum_cubes_product_closed,
     ),
     IdentityDescriptor(
         id="recip",
         kind=SummandKind.RECIPROCAL_WINDOW,
-        operation="recip_sum_closed",
         summand="1 / (G(j+t-1)^2 G(j+t) G(j+t+1) G(j+t+2)^2)",
         closed_form="(1/P(t) - 1/P(n+t)) / 4",
         source="reciprocal companion of the cube-product telescoping",
-        evaluate=recip_sum_closed,
+        evaluate=closed_forms.recip_sum_closed,
     ),
     IdentityDescriptor(
         id="fib6",
         kind=SummandKind.SIXTH_POWER,
-        operation="fib_sixth_closed",
         summand="F(j+t)^6",
         closed_form="[F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4",
         source="Ohtsuka and Nakamura (2010), shifted form",
-        evaluate=lambda spec, t, n: fib_sixth_closed(t, n),
+        evaluate=closed_forms.fib_sixth_closed,
         seeds=FIBONACCI,
     ),
     IdentityDescriptor(
         id="lucas6",
         kind=SummandKind.SIXTH_POWER,
-        operation="lucas_sixth_closed",
         summand="L(j+t)^6",
         closed_form="[L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4",
         source="Ohtsuka and Nakamura (2010), shifted form",
-        evaluate=lambda spec, t, n: lucas_sixth_closed(t, n),
+        evaluate=closed_forms.lucas_sixth_closed,
         seeds=LUCAS,
     ),
     IdentityDescriptor(
         id="fib_alt_f5l",
         kind=SummandKind.ALT_FIFTH_NEIGHBOR,
-        operation="fib_alt_f5l_closed",
         summand="(-1)^(j-1) F(j)^5 L(j)",
         closed_form="(-1)^n / 2 F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3))",
         source="specialization of alt_g5 at Fibonacci seeds; leading sign corrected (see README)",
-        evaluate=lambda spec, t, n: fib_alt_f5l_closed(n),
+        evaluate=closed_forms.fib_alt_f5l_closed,
         seeds=FIBONACCI,
         fixed_t=0,
         min_n=0,
@@ -214,11 +204,10 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor(
         id="lucas_alt_l5f",
         kind=SummandKind.ALT_FIFTH_NEIGHBOR,
-        operation="lucas_alt_l5f_closed",
         summand="(-1)^(j-1) L(j)^5 F(j)",
         closed_form="(-1)^n / 10 L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5",
         source="specialization of alt_g5 at Lucas seeds; leading sign corrected (see README)",
-        evaluate=lambda spec, t, n: lucas_alt_l5f_closed(n),
+        evaluate=closed_forms.lucas_alt_l5f_closed,
         seeds=LUCAS,
         fixed_t=0,
         min_n=0,
@@ -227,11 +216,10 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor(
         id="treeby_f3",
         kind=SummandKind.CUBE_PRODUCT,
-        operation="treeby_f3_closed",
         summand="F(j)^3 F(j+1)^3",
         closed_form="F(n)^2 F(n+1)^2 F(n+2)^2 / 4",
         source="Treeby (2016)",
-        evaluate=lambda spec, t, n: treeby_f3_closed(n),
+        evaluate=closed_forms.treeby_f3_closed,
         seeds=FIBONACCI,
         fixed_t=0,
         min_n=0,
@@ -239,11 +227,10 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor(
         id="treeby_l3",
         kind=SummandKind.CUBE_PRODUCT,
-        operation="treeby_l3_closed",
         summand="L(j)^3 L(j+1)^3",
         closed_form="L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9",
         source="Treeby (2016)",
-        evaluate=lambda spec, t, n: treeby_l3_closed(n),
+        evaluate=closed_forms.treeby_l3_closed,
         seeds=LUCAS,
         fixed_t=0,
         min_n=0,
@@ -251,11 +238,10 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor(
         id="recip_fib",
         kind=SummandKind.RECIPROCAL_WINDOW,
-        operation="recip_fib_special",
         summand="1 / (F(j)^2 F(j+1) F(j+2) F(j+3)^2)",
         closed_form="(1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4",
         source="reciprocal companion of Treeby (2016), Fibonacci seeds",
-        evaluate=lambda spec, t, n: recip_fib_special(n),
+        evaluate=closed_forms.recip_fib_special,
         seeds=FIBONACCI,
         fixed_t=1,
         min_n=1,
@@ -263,11 +249,10 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor(
         id="recip_lucas",
         kind=SummandKind.RECIPROCAL_WINDOW,
-        operation="recip_lucas_special",
         summand="1 / (L(j)^2 L(j+1) L(j+2) L(j+3)^2)",
         closed_form="(1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4",
         source="reciprocal companion of Treeby (2016), Lucas seeds",
-        evaluate=lambda spec, t, n: recip_lucas_special(n),
+        evaluate=closed_forms.recip_lucas_special,
         seeds=LUCAS,
         fixed_t=1,
         min_n=1,
@@ -288,23 +273,6 @@ def descriptor(identity_id: str) -> IdentityDescriptor:
         raise UnknownIdentityError(
             f"unknown identity {identity_id!r}; known: {', '.join(identity_ids())}"
         ) from None
-
-
-def registry_self_check() -> None:
-    """Fail if the registry and the closed-forms surface ever drift apart."""
-    ids = [d.id for d in REGISTRY]
-    if len(set(ids)) != len(ids):
-        raise RuntimeError("duplicate identity ids in registry")
-    registered = [d.operation for d in REGISTRY]
-    if len(set(registered)) != len(registered):
-        raise RuntimeError("a closed-forms operation appears in two descriptors")
-    exported = set(closed_forms.__all__)
-    if set(registered) != exported:
-        missing = sorted(exported - set(registered))
-        unknown = sorted(set(registered) - exported)
-        raise RuntimeError(
-            f"registry out of sync with closed forms: unregistered {missing}, unknown {unknown}"
-        )
 
 
 def effective_inputs(desc: IdentityDescriptor, spec: SequenceSpec, t: int) -> tuple[SequenceSpec, int]:
@@ -337,7 +305,7 @@ def verify_one(identity_id: str, spec: SequenceSpec, t: int, n: int) -> Verifica
     closed_err: Optional[str] = None
     oracle_err: Optional[str] = None
     try:
-        closed_value = desc.evaluate(spec, t, n)
+        closed_value = desc.closed(spec, t, n)
     except ZeroTermError as exc:
         closed_err = str(exc)
     try:
@@ -407,7 +375,7 @@ def check_telescoping(
     reports = []
     for n in range(lo, hi + 1):
         try:
-            diff = Fraction(desc.evaluate(spec, t, n)) - Fraction(desc.evaluate(spec, t, n - 1))
+            diff = Fraction(desc.closed(spec, t, n)) - Fraction(desc.closed(spec, t, n - 1))
             expected = oracle_term(desc.kind, spec, t, n) * desc.oracle_scale
         except ZeroTermError as exc:
             reports.append(VerificationReport(

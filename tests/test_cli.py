@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gibsum
 from gibsum import ZeroTermError, verifier
 from gibsum.cli import main, run_bench, _parse_range, _parse_seeds
 
@@ -209,10 +212,15 @@ class TestBench:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # the child imports the same gibsum as this process, also when only
+        # pytest's own pythonpath setting put it on the path
+        src = str(Path(gibsum.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "gibsum", "eval", "sum_g6", "--n", "5", "--method", "both"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["match"] is True

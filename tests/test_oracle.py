@@ -136,5 +136,38 @@ class TestZeroPolicy:
         with pytest.raises(ZeroTermError):
             oracle_sum(SummandKind.RECIPROCAL_WINDOW, F, 0, 0)
 
+    def test_empty_sum_touches_only_the_anchor_window(self):
+        # seeds (2, -1) give G(3) = 0: outside [0, 2] for n = 0, inside for n = 1
+        spec = SequenceSpec(2, -1)
+        assert oracle_sum(SummandKind.RECIPROCAL_WINDOW, spec, 0, 0) == 0
+        with pytest.raises(ZeroTermError) as exc:
+            oracle_sum(SummandKind.RECIPROCAL_WINDOW, spec, 0, 1)
+        assert exc.value.index == 3
+
+    def test_zero_index_matches_locator(self):
+        # the oracle finds zeros on its own walk; the sequences locator is
+        # the reference for which index it must name
+        kind = SummandKind.RECIPROCAL_WINDOW
+        for g0 in range(-6, 7):
+            for g1 in range(-6, 7):
+                if (g0, g1) == (0, 0):
+                    continue
+                spec = SequenceSpec(g0, g1)
+                for t in range(-9, 10):
+                    for n in range(-14, 15):
+                        zero = first_zero_in_window(spec, *reciprocal_window(t, n))
+                        _assert_zero_at(zero, oracle_sum, kind, spec, t, n)
+                        zero = first_zero_in_window(spec, n + t - 1, n + t + 2)
+                        _assert_zero_at(zero, oracle_term, kind, spec, t, n)
+
     def test_integer_kinds_never_scan(self):
         assert oracle_sum(SummandKind.SQUARE, F, 0, 3) == 6
+
+
+def _assert_zero_at(zero, fn, *args):
+    if zero is None:
+        fn(*args)
+        return
+    with pytest.raises(ZeroTermError) as exc:
+        fn(*args)
+    assert exc.value.index == zero, args

@@ -1,6 +1,7 @@
 """Registry, single-point verification, sweeps, and property suites."""
 
 import dataclasses
+import inspect
 import json
 from fractions import Fraction
 
@@ -19,12 +20,11 @@ from gibsum import (
     check_telescoping,
     descriptor,
     identity_ids,
-    registry_self_check,
     render_value,
     sweep,
     verify_one,
 )
-from gibsum import verifier
+from gibsum import closed_forms, verifier
 
 F = SequenceSpec(0, 1)
 
@@ -46,9 +46,6 @@ SPEC_IDS = (
 
 
 class TestRegistry:
-    def test_self_check_passes(self):
-        registry_self_check()
-
     def test_ids_complete_and_ordered(self):
         assert identity_ids() == SPEC_IDS
 
@@ -56,16 +53,15 @@ class TestRegistry:
         with pytest.raises(UnknownIdentityError):
             descriptor("nope")
 
-    def test_self_check_catches_missing_operation(self, monkeypatch):
-        monkeypatch.setattr(verifier, "REGISTRY", REGISTRY[1:])
-        with pytest.raises(RuntimeError, match="unregistered"):
-            registry_self_check()
-
-    def test_self_check_catches_duplicate_operation(self, monkeypatch):
-        clone = dataclasses.replace(REGISTRY[0], id="sum_g6_copy")
-        monkeypatch.setattr(verifier, "REGISTRY", REGISTRY + (clone,))
-        with pytest.raises(RuntimeError):
-            registry_self_check()
+    def test_each_closed_form_evaluates_exactly_one_entry(self):
+        public = [
+            fn for name, fn in inspect.getmembers(closed_forms, inspect.isfunction)
+            if fn.__module__ == closed_forms.__name__ and not name.startswith("_")
+        ]
+        evaluators = [d.evaluate for d in REGISTRY]
+        assert len(public) == len(REGISTRY)
+        for fn in public:
+            assert evaluators.count(fn) == 1, fn.__name__
 
 
 class TestRenderValue:
