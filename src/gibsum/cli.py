@@ -84,7 +84,7 @@ def _point_inputs(args) -> tuple[IdentityDescriptor, SequenceSpec, int]:
             f"warning: {desc.id} has fixed shift t = {desc.fixed_t}; ignoring --t",
             file=sys.stderr,
         )
-    spec = SequenceSpec(
+    spec = desc.seeds or SequenceSpec(
         args.g0 if args.g0 is not None else 0,
         args.g1 if args.g1 is not None else 1,
     )

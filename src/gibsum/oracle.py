@@ -1,8 +1,10 @@
 """Brute-force term-by-term summation, the ground truth for every identity.
 
 Sums are accumulated one summand at a time over a sliding window of
-consecutive sequence terms, so a length-n sum costs O(n) big-integer
-operations. Nothing here consults a closed form; the only shared code is
+consecutive sequence terms. oracle_walk() yields every partial sum of a
+line n_lo..n_hi from one walk, so the whole line costs O(|n_lo| + |n_hi|)
+summands rather than O(|n|) per point; oracle_sum() is its one-point
+case. Nothing here consults a closed form; the only shared code is
 term() from the sequences module, which is itself cross-checked against
 the single-step recurrence.
 """
@@ -63,30 +65,61 @@ def oracle_term(kind: SummandKind, spec: SequenceSpec, t: int, j: int) -> Fracti
     return Fraction(_summand(kind, window, j))
 
 
+def oracle_walk(
+    kind: SummandKind, spec: SequenceSpec, t: int, n_lo: int, n_hi: int
+) -> list[Fraction | int]:
+    """S(n) for every n in n_lo..n_hi, in order, as a Fraction or, where the
+    reciprocal family touches a zero term ([t, n+t+2] for n >= 0, [n+t, t+2]
+    for n < 0), as the int index of the smallest one.
+
+    One walk up from j = 1 covers n >= 0, one walk down from j = 0 covers
+    n < 0 by S(n-1) = S(n) - summand(n): O(|n_lo| + |n_hi|) summands.
+    """
+    off_lo, off_hi = _WINDOW_OFFSETS[kind]
+    recip = kind is SummandKind.RECIPROCAL_WINDOW
+    up, down = [], []
+    if n_hi >= 0:
+        # window at j = 1; S(0) touches all of it but the last term
+        window = [term(spec, 1 + t + off) for off in range(off_lo, off_hi + 1)]
+        zero = 1 + t + off_lo + window.index(0) if recip and 0 in window[:-1] else None
+        total = 0
+        if n_lo <= 0:
+            up.append(Fraction(total) if zero is None else zero)
+        for j in range(1, n_hi + 1):
+            if recip and zero is None and window[-1] == 0:
+                zero = j + t + off_hi
+            if zero is None:
+                total += _summand(kind, window, j)
+            if j >= n_lo:
+                up.append(Fraction(total) if zero is None else zero)
+            window.append(window[-1] + window[-2])
+            window.pop(0)
+    if n_lo < 0:
+        # window at j = 0; S(0) touches all of it but the first term
+        window = [term(spec, t + off) for off in range(off_lo, off_hi + 1)]
+        zero = t + off_lo + window.index(0, 1) if recip and 0 in window[1:] else None
+        total = 0
+        for j in range(0, n_lo, -1):  # summand j turns S(j) into S(j-1)
+            if recip and window[0] == 0:
+                zero = j + t + off_lo
+            if zero is None:
+                total -= _summand(kind, window, j)
+            if j - 1 <= n_hi:
+                down.append(Fraction(total) if zero is None else zero)
+            window.insert(0, window[1] - window[0])
+            window.pop()
+    return down[::-1] + up
+
+
 def oracle_sum(kind: SummandKind, spec: SequenceSpec, t: int, n: int) -> Fraction:
     """Term-by-term sum of the family over j in 1..n, as an exact rational.
 
     Follows the shared partial-sum convention: empty at n = 0, and the
-    negated sum over j in n+1..0 for n < 0. For the reciprocal family each
-    term is checked for zero as the window slides upward, and the first
-    zero index is reported. Even the empty sum touches G(t)..G(t+2).
+    negated sum over j in n+1..0 for n < 0. For the reciprocal family a
+    zero term anywhere in the touched window raises ZeroTermError naming
+    the smallest such index.
     """
-    if n >= 0:
-        start, count, negate = 1, n, False
-    else:
-        start, count, negate = n + 1, -n, True
-    off_lo, off_hi = _WINDOW_OFFSETS[kind]
-    window = [term(spec, start + t + off) for off in range(off_lo, off_hi + 1)]
-    recip = kind is SummandKind.RECIPROCAL_WINDOW
-    if recip and 0 in window[:-1]:
-        raise ZeroTermError(start + t + off_lo + window.index(0), spec.seeds)
-    total = Fraction(0) if recip else 0
-    for j in range(start, start + count):
-        if recip and window[-1] == 0:
-            raise ZeroTermError(j + t + off_hi, spec.seeds)
-        total += _summand(kind, window, j)
-        window.append(window[-1] + window[-2])
-        window.pop(0)
-    if negate:
-        total = -total
-    return Fraction(total)
+    (outcome,) = oracle_walk(kind, spec, t, n, n)
+    if not isinstance(outcome, Fraction):
+        raise ZeroTermError(outcome, spec.seeds)
+    return outcome

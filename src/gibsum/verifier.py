@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 from . import closed_forms
 from .errors import UnknownIdentityError, ZeroTermError
-from .oracle import SummandKind, oracle_sum, oracle_term
+from .oracle import SummandKind, oracle_term, oracle_walk
 from .sequences import FIBONACCI, LUCAS, SequenceSpec, characteristic_e, lucas, term
 
 # Reports render exact values as decimal strings; the default CPython cap on
@@ -284,6 +284,59 @@ def effective_inputs(desc: IdentityDescriptor, spec: SequenceSpec, t: int) -> tu
     return spec, t
 
 
+def _compare(
+    desc: IdentityDescriptor, spec: SequenceSpec, t: int, n: int, outcome: Fraction | int
+) -> VerificationReport:
+    """The report at one point, given the oracle_walk outcome at its n."""
+    closed_value = closed_err = None
+    try:
+        closed_value = desc.closed(spec, t, n)
+    except ZeroTermError as exc:
+        closed_err = str(exc)
+    oracle_value = oracle_err = None
+    if isinstance(outcome, Fraction):
+        oracle_value = outcome * desc.oracle_scale
+    else:
+        oracle_err = str(ZeroTermError(outcome, spec.seeds))
+    if closed_err is None and oracle_err is None:
+        match, error = Fraction(closed_value) == oracle_value, None
+    elif closed_err == oracle_err:
+        match, error = True, closed_err  # the identity holds wherever it is defined
+    else:
+        match, error = False, f"closed: {closed_err or 'ok'}; oracle: {oracle_err or 'ok'}"
+    return VerificationReport(
+        desc.id, spec.g0, spec.g1, t, n,
+        closed=None if closed_value is None else render_value(closed_value),
+        oracle=None if oracle_value is None else render_value(oracle_value),
+        match=match, error=error,
+    )
+
+
+def _line(
+    desc: IdentityDescriptor, spec: SequenceSpec, t: int, n_lo: int, n_hi: int
+) -> list[VerificationReport]:
+    """Reports for n in n_lo..n_hi at fixed (seeds, t), from one oracle walk.
+
+    Points below the identity's n-domain pass vacuously and are not summed.
+    """
+    start = n_lo if desc.min_n is None else max(n_lo, desc.min_n)
+    reports = [
+        VerificationReport(
+            desc.id, spec.g0, spec.g1, t, n,
+            closed=None, oracle=None, match=True,
+            error=f"domain: requires n >= {desc.min_n}",
+        )
+        for n in range(n_lo, min(start, n_hi + 1))
+    ]
+    if start <= n_hi:
+        outcomes = oracle_walk(desc.kind, spec, t, start, n_hi)
+        reports += [
+            _compare(desc, spec, t, n, outcome)
+            for n, outcome in zip(range(start, n_hi + 1), outcomes)
+        ]
+    return reports
+
+
 def verify_one(identity_id: str, spec: SequenceSpec, t: int, n: int) -> VerificationReport:
     """Compare the closed form against the brute-force sum at one point.
 
@@ -294,67 +347,27 @@ def verify_one(identity_id: str, spec: SequenceSpec, t: int, n: int) -> Verifica
     """
     desc = descriptor(identity_id)
     spec, t = effective_inputs(desc, spec, t)
-    if desc.min_n is not None and n < desc.min_n:
-        return VerificationReport(
-            desc.id, spec.g0, spec.g1, t, n,
-            closed=None, oracle=None, match=True,
-            error=f"domain: requires n >= {desc.min_n}",
-        )
-    closed_value: Optional[ExactValue] = None
-    oracle_value: Optional[Fraction] = None
-    closed_err: Optional[str] = None
-    oracle_err: Optional[str] = None
-    try:
-        closed_value = desc.closed(spec, t, n)
-    except ZeroTermError as exc:
-        closed_err = str(exc)
-    try:
-        oracle_value = oracle_sum(desc.kind, spec, t, n) * desc.oracle_scale
-    except ZeroTermError as exc:
-        oracle_err = str(exc)
-    closed_text = None if closed_value is None else render_value(closed_value)
-    oracle_text = None if oracle_value is None else render_value(oracle_value)
-    if closed_err is not None or oracle_err is not None:
-        if closed_err == oracle_err:
-            return VerificationReport(
-                desc.id, spec.g0, spec.g1, t, n,
-                closed=closed_text, oracle=oracle_text, match=True, error=closed_err,
-            )
-        return VerificationReport(
-            desc.id, spec.g0, spec.g1, t, n,
-            closed=closed_text, oracle=oracle_text, match=False,
-            error=f"closed: {closed_err or 'ok'}; oracle: {oracle_err or 'ok'}",
-        )
-    match = Fraction(closed_value) == oracle_value
-    return VerificationReport(
-        desc.id, spec.g0, spec.g1, t, n,
-        closed=closed_text, oracle=oracle_text, match=match,
-    )
+    return _line(desc, spec, t, n, n)[0]
 
 
 def sweep(identity_id: str, grid: GridSpec) -> list[VerificationReport]:
     """One report per grid point, in (seeds, t, n) order.
 
+    Each (seeds, t) line is summed by one oracle walk over the whole
+    n-range, so a line costs O(length) summands rather than O(n) per point.
     Dimensions the identity fixes (seeds, shift) collapse to their fixed
     value, so a seed-fixed identity yields one report per (t, n) no matter
     how many seed pairs the grid lists.
     """
     desc = descriptor(identity_id)
-    if desc.seeds is not None:
-        seed_pairs: tuple[tuple[int, int], ...] = (desc.seeds.seeds,)
-    else:
-        seed_pairs = grid.seeds
-    if desc.fixed_t is not None:
-        shifts = range(desc.fixed_t, desc.fixed_t + 1)
-    else:
-        shifts = range(grid.t_range[0], grid.t_range[1] + 1)
-    reports = []
-    for g0, g1 in seed_pairs:
-        spec = SequenceSpec(g0, g1)
-        for t in shifts:
-            for n in range(grid.n_range[0], grid.n_range[1] + 1):
-                reports.append(verify_one(identity_id, spec, t, n))
-    return reports
+    seed_pairs = grid.seeds if desc.seeds is None else (desc.seeds.seeds,)
+    t_lo, t_hi = grid.t_range if desc.fixed_t is None else (desc.fixed_t, desc.fixed_t)
+    return [
+        report
+        for g0, g1 in seed_pairs
+        for t in range(t_lo, t_hi + 1)
+        for report in _line(desc, SequenceSpec(g0, g1), t, *grid.n_range)
+    ]
 
 
 def check_telescoping(

@@ -94,6 +94,14 @@ class TestEval:
         assert "fixed seeds" in captured.err
         assert json.loads(captured.out)["g0"] == "0"
 
+    def test_fixed_seed_flags_are_not_validated(self, capsys):
+        # (0, 0) would be invalid seeds, but fib6 ignores the flags
+        assert main(["eval", "fib6", "--g0", "0", "--g1", "0", "--n", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: fib6 has fixed seeds (0, 1); ignoring --g0/--g1\n"
+        payload = json.loads(captured.out)
+        assert (payload["g0"], payload["g1"], payload["closed"]) == ("0", "1", "66")
+
     def test_fixed_shift_warning(self, capsys):
         assert main(["eval", "treeby_f3", "--t", "5", "--n", "2"]) == 0
         assert "fixed shift" in capsys.readouterr().err
@@ -192,6 +200,15 @@ class TestBench:
         code = main(["bench", "sum_g6", "--n", "11", "--repeat", "1", "--force-oracle"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["match"] is True
+
+    def test_fixed_seed_flags_are_not_validated(self, capsys):
+        code = main(["bench", "treeby_f3", "--g0", "0", "--g1", "0", "--n", "3", "--repeat", "1"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: treeby_f3 has fixed seeds (0, 1); ignoring --g0/--g1\n"
+        payload = json.loads(captured.out)
+        assert (payload["g0"], payload["g1"]) == ("0", "1")
+        assert payload["closed_value"]["leading"] == "225" and payload["match"] is True
 
     def test_n_zero_usage_error(self, capsys):
         assert main(["bench", "sum_g6", "--n", "0"]) == 2

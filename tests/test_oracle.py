@@ -1,4 +1,4 @@
-"""Brute-force oracle: spot values, an even dumber re-summation, telescoping."""
+"""Brute-force oracle: spot values, an even dumber re-summation, line walks, telescoping."""
 
 from fractions import Fraction
 
@@ -16,6 +16,7 @@ from gibsum import (
     reciprocal_window,
     term_naive,
 )
+from gibsum.oracle import oracle_walk
 
 F = SequenceSpec(0, 1)
 L = SequenceSpec(2, 1)
@@ -96,6 +97,34 @@ class TestAgainstNaiveResummation:
             g1 = 1
         spec = SequenceSpec(g0, g1)
         assert oracle_sum(kind, spec, t, n) == naive_partial_sum(kind, spec, t, n)
+
+
+# positive, negative, crossing 0, and single points on either side
+WALK_LINES = ((3, 14), (-14, -3), (-9, 11), (5, 5), (-4, -4), (0, 0))
+# zero terms at indices 2, 3 and 4; (3, 1) and (3, -4) have none
+WALK_SEEDS = ((1, -1), (2, -1), (-3, 2), (3, 1), (3, -4))
+
+
+class TestWalk:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("line", WALK_LINES)
+    def test_every_point_matches_naive_sum(self, kind, line):
+        ns = range(line[0], line[1] + 1)
+        for seeds in WALK_SEEDS:
+            spec = SequenceSpec(*seeds)
+            for t in (-8, -1, 0, 5):
+                outcomes = oracle_walk(kind, spec, t, *line)
+                assert len(outcomes) == len(ns)
+                for n, outcome in zip(ns, outcomes):
+                    zero = None
+                    if kind is SummandKind.RECIPROCAL_WINDOW:
+                        zero = first_zero_in_window(spec, *reciprocal_window(t, n))
+                    if zero is not None:
+                        assert not isinstance(outcome, Fraction), (seeds, t, n)
+                        assert outcome == zero, (seeds, t, n)
+                    else:
+                        assert isinstance(outcome, Fraction), (seeds, t, n)
+                        assert outcome == naive_partial_sum(kind, spec, t, n), (seeds, t, n)
 
 
 class TestTelescoping:

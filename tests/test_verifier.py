@@ -203,6 +203,48 @@ class TestSweep:
         with pytest.raises(UnknownIdentityError):
             sweep("nope", grid)
 
+    @pytest.mark.parametrize(
+        "identity_id, seeds, t_range, n_range",
+        [
+            ("recip", ((1, -1), (2, -1), (-3, 2), (0, 1)), (-5, 4), (-9, 9)),
+            ("alt_g5", ((1, -1), (2, -1), (-3, 2)), (-5, 4), (-9, 9)),
+            ("fib_alt_f5l", ((0, 1),), (0, 0), (-5, 6)),
+            ("recip_fib", ((0, 1),), (1, 1), (-5, 6)),
+        ],
+    )
+    def test_matches_pointwise_verification(self, identity_id, seeds, t_range, n_range):
+        grid = GridSpec(seeds=seeds, t_range=t_range, n_range=n_range)
+        expected = [
+            verify_one(identity_id, SequenceSpec(*pair), t, n)
+            for pair in seeds
+            for t in range(t_range[0], t_range[1] + 1)
+            for n in range(n_range[0], n_range[1] + 1)
+        ]
+        assert sweep(identity_id, grid) == expected
+
+    @pytest.mark.parametrize(
+        "identity_id, n_range, walked",
+        [
+            ("fib_alt_f5l", (-5, 6), [(0, 6)]),
+            ("recip_fib", (-5, 6), [(1, 6)]),
+            ("recip_fib", (-5, 0), []),
+        ],
+    )
+    def test_domain_rows_are_not_summed(self, monkeypatch, identity_id, n_range, walked):
+        calls = []
+        real_walk = verifier.oracle_walk
+
+        def recording_walk(kind, spec, t, n_lo, n_hi):
+            calls.append((n_lo, n_hi))
+            return real_walk(kind, spec, t, n_lo, n_hi)
+
+        monkeypatch.setattr(verifier, "oracle_walk", recording_walk)
+        grid = GridSpec(seeds=((0, 1),), t_range=(0, 0), n_range=n_range)
+        reps = sweep(identity_id, grid)
+        assert calls == walked
+        assert len(reps) == n_range[1] - n_range[0] + 1
+        assert all(r.match for r in reps)
+
 
 class TestTelescoping:
     def test_spot_ranges(self):
