@@ -15,16 +15,18 @@ a bug in this module, never bad input.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .errors import DomainError, IntegralityError, ZeroTermError
 from .sequences import (
+    FIBONACCI,
+    LUCAS,
     SequenceSpec,
     characteristic_e,
     fib,
     first_zero_in_window,
-    lucas,
     reciprocal_window,
-    term,
+    window,
 )
 
 
@@ -43,14 +45,16 @@ def _require_integral(value: Fraction, op: str) -> Fraction:
 
 
 def _triple_square(spec: SequenceSpec, m: int) -> int:
-    """(G(m) G(m+1) G(m+2))^2, the window product both cube-sum forms anchor on."""
-    p = term(spec, m) * term(spec, m + 1) * term(spec, m + 2)
+    """P(m) = (G(m) G(m+1) G(m+2))^2, the window product several forms anchor on."""
+    p = prod(window(spec, m, 3))  # the three terms are freed before squaring
     return p * p
 
 
 def sum_squares_closed(spec: SequenceSpec, t: int, n: int) -> int:
     """Sum of G(j+t)^2 for j in 1..n: G(n+t)G(n+t+1) - G(t)G(t+1)."""
-    return term(spec, n + t) * term(spec, n + t + 1) - term(spec, t) * term(spec, t + 1)
+    hi0, hi1 = window(spec, n + t, 2)
+    lo0, lo1 = window(spec, t, 2)
+    return hi0 * hi1 - lo0 * lo1
 
 
 def sum_sixth_closed(spec: SequenceSpec, t: int, n: int) -> int:
@@ -60,13 +64,13 @@ def sum_sixth_closed(spec: SequenceSpec, t: int, n: int) -> int:
                + e^2 (G(n+t)(G(n+t+1) + G(n+t-1)) - G(t)(G(t+1) + G(t-1)))] / 4
     with e the characteristic constant of the seeds.
     """
-    hi, lo = term(spec, n + t), term(spec, t)
+    hm1, hi, hp1, _, hp3 = window(spec, n + t - 1, 5)
+    lm1, lo, lp1, _, lp3 = window(spec, t - 1, 5)
     e2 = characteristic_e(spec) ** 2
     num = (
-        hi**5 * term(spec, n + t + 3)
-        - lo**5 * term(spec, t + 3)
-        + e2 * (hi * (term(spec, n + t + 1) + term(spec, n + t - 1))
-                - lo * (term(spec, t + 1) + term(spec, t - 1)))
+        hi**5 * hp3
+        - lo**5 * lp3
+        + e2 * (hi * (hp1 + hm1) - lo * (lp1 + lm1))
     )
     return _exact_quarter(num, "sum_sixth_closed")
 
@@ -77,9 +81,11 @@ def fib_sixth_closed(t: int, n: int) -> int:
     Uses F(2k) directly instead of the e^2 term:
     [F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4.
     """
+    hi, _, _, hp3 = window(FIBONACCI, n + t, 4)
+    lo, _, _, lp3 = window(FIBONACCI, t, 4)
     num = (
-        fib(n + t) ** 5 * fib(n + t + 3)
-        - fib(t) ** 5 * fib(t + 3)
+        hi**5 * hp3
+        - lo**5 * lp3
         + fib(2 * n + 2 * t)
         - fib(2 * t)
     )
@@ -92,9 +98,11 @@ def lucas_sixth_closed(t: int, n: int) -> int:
     [L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4;
     at t = 0 this collapses to (L(n)^5 L(n+3) + 125 F(2n)) / 4 - 32.
     """
+    hi, _, _, hp3 = window(LUCAS, n + t, 4)
+    lo, _, _, lp3 = window(LUCAS, t, 4)
     num = (
-        lucas(n + t) ** 5 * lucas(n + t + 3)
-        - lucas(t) ** 5 * lucas(t + 3)
+        hi**5 * hp3
+        - lo**5 * lp3
         + 125 * (fib(2 * n + 2 * t) - fib(2 * t))
     )
     return _exact_quarter(num, "lucas_sixth_closed")
@@ -108,10 +116,12 @@ def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     returned as a den = 1 rational and asserted so.
     """
     sign = -1 if n % 2 else 1  # (-1)^n
-    p_hi = _triple_square(spec, n + t)
-    p_lo = _triple_square(spec, t)
-    q_hi = term(spec, n + t + 1) ** 4 * term(spec, n + t) ** 2
-    q_lo = term(spec, t + 1) ** 4 * term(spec, t) ** 2
+    hi0, hi1, hi2 = window(spec, n + t, 3)
+    lo0, lo1, lo2 = window(spec, t, 3)
+    p_hi = (hi0 * hi1 * hi2) ** 2
+    p_lo = (lo0 * lo1 * lo2) ** 2
+    q_hi = hi1**4 * hi0**2
+    q_lo = lo1**4 * lo0**2
     value = Fraction(p_lo - sign * p_hi, 2) + sign * q_hi - q_lo
     return _require_integral(value, "alt_sum_fifth_closed")
 
@@ -126,8 +136,8 @@ def fib_alt_f5l_closed(n: int) -> Fraction:
     if n < 0:
         raise DomainError(f"fib_alt_f5l_closed requires n >= 0, got {n}")
     sign = -1 if n % 2 else 1
-    fn, fn1 = fib(n), fib(n + 1)
-    value = Fraction(sign * fn**2 * fn1**2 * (fn1**2 - fn * fib(n + 3)), 2)
+    fn, fn1, _, fn3 = window(FIBONACCI, n, 4)
+    value = Fraction(sign * fn**2 * fn1**2 * (fn1**2 - fn * fn3), 2)
     return _require_integral(value, "fib_alt_f5l_closed")
 
 
@@ -142,8 +152,8 @@ def lucas_alt_l5f_closed(n: int) -> Fraction:
     if n < 0:
         raise DomainError(f"lucas_alt_l5f_closed requires n >= 0, got {n}")
     sign = -1 if n % 2 else 1
-    ln, ln1 = lucas(n), lucas(n + 1)
-    value = Fraction(sign * ln**2 * ln1**2 * (ln1**2 - ln * lucas(n + 3)), 10) + Fraction(14, 5)
+    ln, ln1, _, ln3 = window(LUCAS, n, 4)
+    value = Fraction(sign * ln**2 * ln1**2 * (ln1**2 - ln * ln3), 10) + Fraction(14, 5)
     return _require_integral(value, "lucas_alt_l5f_closed")
 
 
@@ -156,9 +166,10 @@ def sum_cubes_product_closed(spec: SequenceSpec, t: int, n: int) -> int:
 def recip_sum_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     """Sum of 1 / (G(j+t-1)^2 G(j+t) G(j+t+1) G(j+t+2)^2) for j in 1..n.
 
-    Evaluates (1/P(t) - 1/P(n+t)) / 4. The whole index window the summands
-    touch is scanned for zero terms first, so this fails on exactly the
-    inputs the brute-force sum fails on, naming the same index.
+    Evaluates (1/P(t) - 1/P(n+t)) / 4. First the sequence's one zero term,
+    if any, is located and tested against the index window the summands
+    touch, so this fails on exactly the inputs the brute-force sum fails
+    on, naming the same index.
     """
     lo, hi = reciprocal_window(t, n)
     zero = first_zero_in_window(spec, lo, hi)
@@ -173,16 +184,14 @@ def treeby_f3_closed(n: int) -> int:
     """Sum of F(j)^3 F(j+1)^3 for j in 1..n: F(n)^2 F(n+1)^2 F(n+2)^2 / 4."""
     if n < 0:
         raise DomainError(f"treeby_f3_closed requires n >= 0, got {n}")
-    p = fib(n) * fib(n + 1) * fib(n + 2)
-    return _exact_quarter(p * p, "treeby_f3_closed")
+    return _exact_quarter(_triple_square(FIBONACCI, n), "treeby_f3_closed")
 
 
 def treeby_l3_closed(n: int) -> int:
     """Sum of L(j)^3 L(j+1)^3 for j in 1..n: L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9."""
     if n < 0:
         raise DomainError(f"treeby_l3_closed requires n >= 0, got {n}")
-    p = lucas(n) * lucas(n + 1) * lucas(n + 2)
-    return _exact_quarter(p * p, "treeby_l3_closed") - 9
+    return _exact_quarter(_triple_square(LUCAS, n), "treeby_l3_closed") - 9
 
 
 def recip_fib_special(n: int) -> Fraction:
@@ -193,8 +202,7 @@ def recip_fib_special(n: int) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"recip_fib_special requires n >= 1, got {n}")
-    p = fib(n + 1) * fib(n + 2) * fib(n + 3)
-    return Fraction(1, 4) * (Fraction(1, 4) - Fraction(1, p * p))
+    return Fraction(1, 4) * (Fraction(1, 4) - Fraction(1, _triple_square(FIBONACCI, n + 1)))
 
 
 def recip_lucas_special(n: int) -> Fraction:
@@ -205,5 +213,4 @@ def recip_lucas_special(n: int) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"recip_lucas_special requires n >= 1, got {n}")
-    p = lucas(n + 1) * lucas(n + 2) * lucas(n + 3)
-    return Fraction(1, 4) * (Fraction(1, 144) - Fraction(1, p * p))
+    return Fraction(1, 4) * (Fraction(1, 144) - Fraction(1, _triple_square(LUCAS, n + 1)))

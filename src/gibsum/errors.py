@@ -6,8 +6,8 @@ from __future__ import annotations
 class ZeroTermError(ArithmeticError):
     """A sequence term inside a reciprocal sum's index window is zero.
 
-    The sum is undefined at such a grid point; ``index`` names the first
-    offending sequence index (scanning the window in ascending order).
+    The sum is undefined at such a grid point; ``index`` names the
+    offending sequence index (a sequence has at most one zero term).
     """
 
     def __init__(self, index: int, seeds: tuple[int, int] | None = None):

@@ -8,7 +8,12 @@ are exact Python ints, so nothing overflows at any magnitude.
 The Fibonacci numbers are the (0, 1) sequence and the Lucas numbers the
 (2, 1) sequence. Every other sequence is a linear combination of Fibonacci
 terms: G(k) = G1*F(k) + G0*F(k-1), which is what makes O(log|k|) term access
-possible.
+possible, and a run of consecutive terms costs one such pass plus additions.
+
+A sequence has at most one zero term: if G(a) = 0 then G(k) = G(a+1)*F(k-a),
+and F vanishes only at 0. The zero, when there is one, lies within about
+log_phi max(|G0|, |G1|) indices of 0, so it is found in O(log|seed|) steps
+and an index window of any length is checked against it in O(1).
 """
 
 from __future__ import annotations
@@ -49,12 +54,18 @@ def _fib_pair(k: int) -> tuple[int, int]:
     return a, b
 
 
+def _fib_at(k: int) -> tuple[int, int]:
+    """(F(k), F(k+1)) for any integer k, from one fast-doubling pass."""
+    if k >= 0:
+        return _fib_pair(k)
+    fm, fm1 = _fib_pair(-k)
+    fm_1 = fm1 - fm  # F(m-1) for m = -k; F(-m) = (-1)^(m+1) F(m)
+    return (fm, -fm_1) if k & 1 else (-fm, fm_1)
+
+
 def fib(k: int) -> int:
     """The k-th Fibonacci number, any integer k; F(-k) = (-1)^(k+1) F(k)."""
-    if k >= 0:
-        return _fib_pair(k)[0]
-    f = _fib_pair(-k)[0]
-    return f if k & 1 else -f
+    return _fib_at(k)[0]
 
 
 def lucas(k: int) -> int:
@@ -65,20 +76,22 @@ def lucas(k: int) -> int:
 def term(spec: SequenceSpec, k: int) -> int:
     """Exact term G(k) in O(log|k|) big-integer operations.
 
-    Evaluates G(k) = G1*F(k) + G0*F(k-1) with one fast-doubling pass;
-    negative k goes through the Fibonacci reflection rule.
+    Evaluates G(k) = G1*F(k) + G0*F(k-1) with one fast-doubling pass.
     """
-    if k >= 0:
-        fk, fk1 = _fib_pair(k)
-        fkm1 = fk1 - fk
-    else:
-        m = -k
-        fm, fm1 = _fib_pair(m)
-        if m & 1:
-            fk, fkm1 = fm, -fm1   # F(-m) = F(m), F(-m-1) = -F(m+1)
-        else:
-            fk, fkm1 = -fm, fm1
-    return spec.g1 * fk + spec.g0 * fkm1
+    fk, fk1 = _fib_at(k)
+    return spec.g1 * fk + spec.g0 * (fk1 - fk)
+
+
+def window(spec: SequenceSpec, m: int, count: int) -> list[int]:
+    """The count consecutive terms G(m), ..., G(m+count-1).
+
+    One fast-doubling pass gives G(m) and G(m+1); the rest are additions.
+    """
+    fm, fm1 = _fib_at(m)
+    terms = [spec.g1 * fm + spec.g0 * (fm1 - fm), spec.g1 * fm1 + spec.g0 * fm]
+    while len(terms) < count:
+        terms.append(terms[-1] + terms[-2])
+    return terms[:count]
 
 
 def term_naive(spec: SequenceSpec, k: int) -> int:
@@ -102,20 +115,46 @@ def characteristic_e(spec: SequenceSpec) -> int:
     return spec.g0 * spec.g0 - spec.g1 * spec.g1 + spec.g0 * spec.g1
 
 
+def zero_index(spec: SequenceSpec) -> int | None:
+    """The index of the sequence's one zero term, or None if it has none.
+
+    If G(a) = 0 then G(k) = G(a+1) F(k-a): the terms above a share one sign,
+    the terms below it alternate, and |G| falls toward a from both sides. So
+    seeds of one sign can only have the zero below them and seeds of opposite
+    signs only above; walk that way from the seeds until a term is zero or
+    the sign pattern breaks. The walk takes at most |a| + 1 steps, and
+    |a| <= log_phi max(|G0|, |G1|) + 2, over terms no larger than the seeds.
+    """
+    x, y = spec.g0, spec.g1  # G(k), G(k+1)
+    if x == 0:
+        return 0
+    if y == 0:
+        return 1
+    if (x > 0) == (y > 0):
+        k = 0
+        while True:  # down: k is the index of x
+            k, x, y = k - 1, y - x, x
+            if x == 0:
+                return k
+            if (x > 0) != (y > 0):
+                return None
+    k = 1
+    while True:  # up: k is the index of y
+        k, x, y = k + 1, y, x + y
+        if y == 0:
+            return k
+        if (x > 0) == (y > 0):
+            return None
+
+
 def first_zero_in_window(spec: SequenceSpec, lo: int, hi: int) -> int | None:
     """Smallest index in [lo, hi] whose term is zero, or None.
 
-    Walks the window with single recurrence steps; an empty window (hi < lo)
-    has no zeros.
+    The sequence has at most one zero (see zero_index), so this is an
+    interval test on its index; an empty window (hi < lo) has no zeros.
     """
-    if hi < lo:
-        return None
-    a, b = term(spec, lo), term(spec, lo + 1)
-    for idx in range(lo, hi + 1):
-        if a == 0:
-            return idx
-        a, b = b, a + b
-    return None
+    zero = zero_index(spec)
+    return zero if zero is not None and lo <= zero <= hi else None
 
 
 def reciprocal_window(t: int, n: int) -> tuple[int, int]:

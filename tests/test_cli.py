@@ -76,6 +76,12 @@ class TestEval:
         assert main(["eval", "recip", "--g0", "0", "--g1", "1", "--t", "0", "--n", "3"]) == 2
         assert "zero term at index 0" in capsys.readouterr().err
 
+    def test_zero_term_in_huge_window_refused_at_once(self, capsys):
+        # the window [-1000000, 1000002] holds the zero at index 2
+        argv = ["eval", "recip", "--g0=1", "--g1=-1", "--t=-1000000", "--n=2000000"]
+        assert main(argv) == 2
+        assert "zero term at index 2" in capsys.readouterr().err
+
     def test_unknown_identity_exits_2(self, capsys):
         assert main(["eval", "nope", "--n", "1"]) == 2
         assert "unknown identity" in capsys.readouterr().err

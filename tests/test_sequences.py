@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import GRID_SEEDS
+from conftest import GRID_SEEDS, scan_first_zero
 from gibsum import (
     FIBONACCI,
     LUCAS,
@@ -16,6 +16,7 @@ from gibsum import (
     term,
     term_naive,
 )
+from gibsum.sequences import window, zero_index
 
 seed_ints = st.integers(min_value=-50, max_value=50)
 
@@ -138,6 +139,61 @@ class TestZeroScan:
         # (0, 0) is invalid, so a sequence has at most one zero; but the scan
         # must still return the smallest index when the window starts below it
         assert first_zero_in_window(FIBONACCI, -10, 10) == 0
+
+
+class TestZeroLocator:
+    def test_empty_window_around_the_zero(self):
+        assert first_zero_in_window(FIBONACCI, 2, -2) is None
+
+    def test_zero_on_window_edges(self):
+        assert first_zero_in_window(SequenceSpec(1, -1), 2, 2) == 2
+        assert first_zero_in_window(SequenceSpec(1, -1), 3, 9) is None
+        assert first_zero_in_window(SequenceSpec(1, -1), -9, 1) is None
+
+    def test_lucas_has_no_zero_index(self):
+        assert zero_index(LUCAS) is None
+
+    def test_huge_window_is_an_interval_test(self):
+        # a walk over this window would never finish
+        assert first_zero_in_window(SequenceSpec(1, -1), -10**15, 10**15) == 2
+        assert first_zero_in_window(LUCAS, -10**15, 10**15) is None
+
+    def test_matches_scan_on_all_small_seeds(self):
+        windows = [(lo, hi) for lo in range(-11, 12, 2) for hi in (lo - 1, lo, lo + 3, 12)]
+        for g0 in range(-40, 41):
+            for g1 in range(-40, 41):
+                if (g0, g1) == (0, 0):
+                    continue
+                spec = SequenceSpec(g0, g1)
+                assert zero_index(spec) == scan_first_zero(spec, -60, 60), (g0, g1)
+                for lo, hi in windows:
+                    assert first_zero_in_window(spec, lo, hi) == scan_first_zero(spec, lo, hi)
+
+    @pytest.mark.parametrize("c", [1, -1, 7, -7, 10**30 + 1])
+    def test_built_zero_found_exactly(self, c):
+        # G(k) = c F(k - a) has its one zero at a
+        for a in range(-80, 81):
+            spec = SequenceSpec(c * fib(-a), c * fib(1 - a))
+            assert zero_index(spec) == a
+            for lo, hi in ((a - 4, a + 4), (a, a), (a + 1, a + 6), (a - 6, a - 1), (a, a - 1)):
+                assert first_zero_in_window(spec, lo, hi) == scan_first_zero(spec, lo, hi)
+
+
+class TestWindow:
+    @pytest.mark.parametrize("seeds", GRID_SEEDS)
+    def test_matches_term(self, seeds):
+        spec = SequenceSpec(*seeds)
+        for m in range(-40, 41):
+            assert window(spec, m, 6) == [term(spec, m + i) for i in range(6)]
+
+    def test_short_counts(self):
+        assert window(LUCAS, 3, 1) == [4]
+        assert window(LUCAS, 3, 0) == []
+
+    def test_large_index(self):
+        spec = SequenceSpec(3, -4)
+        for m in (10**5, -(10**5) - 1):
+            assert window(spec, m, 4) == [term(spec, m + i) for i in range(4)]
 
 
 class TestReciprocalWindow:
