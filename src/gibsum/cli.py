@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from fractions import Fraction
@@ -18,6 +17,7 @@ from typing import Optional
 
 from .errors import DomainError, UnknownIdentityError, ZeroTermError
 from .oracle import oracle_sum
+from .render import decimal_text
 from .sequences import SequenceSpec
 from .verifier import (
     REGISTRY,
@@ -33,6 +33,10 @@ from .verifier import (
 
 # verify/bench run the oracle only up to this n unless --force-oracle is given
 ORACLE_AUTO_LIMIT = 10000
+
+# int/str digit cap while main() runs (CPython's default is 4300), so long
+# --g0/--g1/--seeds parse and print in error messages
+_MAX_ARG_DIGITS = 2_000_000
 
 
 def _parse_seed_pair(text: str) -> tuple[int, int]:
@@ -95,7 +99,7 @@ def _point_inputs(args) -> tuple[IdentityDescriptor, SequenceSpec, int]:
 def _digest(value) -> dict:
     """Small summary of a huge exact value: leading characters, digit count."""
     text = render_value(value)
-    return {"leading": text[:24], "digits": sum(ch.isdigit() for ch in text)}
+    return {"leading": text[:24], "digits": len(text) - text.startswith("-") - ("/" in text)}
 
 
 def run_bench(
@@ -111,6 +115,8 @@ def run_bench(
     The oracle runs only when n <= ORACLE_AUTO_LIMIT or force_oracle is set;
     the closed form always runs, and when both run their values must agree.
     """
+    import statistics  # only bench needs it; eval and verify skip the import
+
     if n < 1:
         raise DomainError(f"bench requires n >= 1, got {n}")
     if repeats < 1:
@@ -127,8 +133,8 @@ def run_bench(
         closed_times.append(time.perf_counter() - started)
     result = {
         "identity": desc.id,
-        "g0": str(spec.g0),
-        "g1": str(spec.g1),
+        "g0": decimal_text(spec.g0),
+        "g1": decimal_text(spec.g1),
         "t": t,
         "n": n,
         "repeats": repeats,
@@ -192,8 +198,8 @@ def _cmd_eval(args) -> int:
     else:
         payload = {
             "identity": desc.id,
-            "g0": str(spec.g0),
-            "g1": str(spec.g1),
+            "g0": decimal_text(spec.g0),
+            "g1": decimal_text(spec.g1),
             "t": t,
             "n": n,
             "method": args.method,
@@ -297,6 +303,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # the cap is process-wide: restore it on return
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = 0 < previous < _MAX_ARG_DIGITS
+    if lift:
+        sys.set_int_max_str_digits(_MAX_ARG_DIGITS)
+    try:
+        return _run(argv)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(previous)
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .render import decimal_text
+
 
 class ZeroTermError(ArithmeticError):
     """A sequence term inside a reciprocal sum's index window is zero.
@@ -13,7 +15,9 @@ class ZeroTermError(ArithmeticError):
     def __init__(self, index: int, seeds: tuple[int, int] | None = None):
         self.index = index
         self.seeds = seeds
-        where = f" for seeds ({seeds[0]}, {seeds[1]})" if seeds is not None else ""
+        where = ""
+        if seeds is not None:
+            where = f" for seeds ({decimal_text(seeds[0])}, {decimal_text(seeds[1])})"
         super().__init__(f"zero term at index {index}{where}")
 
 

@@ -10,7 +10,6 @@ properties the closed forms are derived from.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -18,13 +17,8 @@ from typing import Callable, Optional, Union
 from . import closed_forms
 from .errors import UnknownIdentityError, ZeroTermError
 from .oracle import SummandKind, oracle_term, oracle_walk
-from .sequences import FIBONACCI, LUCAS, SequenceSpec, characteristic_e, lucas, term
-
-# Reports render exact values as decimal strings; the default CPython cap on
-# int-to-str conversion is far too small for sixth powers near F(100000).
-if hasattr(sys, "set_int_max_str_digits"):
-    if sys.get_int_max_str_digits() != 0 and sys.get_int_max_str_digits() < 2_000_000:
-        sys.set_int_max_str_digits(2_000_000)
+from .render import decimal_text
+from .sequences import FIBONACCI, LUCAS, SequenceSpec, characteristic_e, lucas, term, window
 
 ExactValue = Union[int, Fraction]
 
@@ -33,8 +27,8 @@ def render_value(value: ExactValue) -> str:
     """Canonical text form: integers as decimals, others as reduced "p/q"."""
     f = Fraction(value)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return decimal_text(f.numerator)
+    return f"{decimal_text(f.numerator)}/{decimal_text(f.denominator)}"
 
 
 TSV_COLUMNS = ("identity", "g0", "g1", "t", "n", "closed", "oracle", "match", "error")
@@ -59,8 +53,8 @@ class VerificationReport:
         # survive as native JSON numbers in common consumers
         return {
             "identity": self.identity,
-            "g0": str(self.g0),
-            "g1": str(self.g1),
+            "g0": decimal_text(self.g0),
+            "g1": decimal_text(self.g1),
             "t": self.t,
             "n": self.n,
             "closed": self.closed,
@@ -72,8 +66,8 @@ class VerificationReport:
     def as_tsv_row(self) -> str:
         cells = (
             self.identity,
-            str(self.g0),
-            str(self.g1),
+            decimal_text(self.g0),
+            decimal_text(self.g1),
             str(self.t),
             str(self.n),
             self.closed or "",
@@ -427,7 +421,7 @@ def check_point_identities(
     e = characteristic_e(spec)
     reports = []
     for r in range(r_range[0], r_range[1] + 1):
-        g = {off: term(spec, r + off) for off in range(-2, 3)}
+        g = dict(zip(range(-2, 3), window(spec, r - 2, 5)))
         sign = -1 if r % 2 else 1  # (-1)^r
         p_hi = g[0] ** 2 * g[1] ** 2 * g[2] ** 2
         p_lo = g[-1] ** 2 * g[0] ** 2 * g[1] ** 2

@@ -1,5 +1,8 @@
 """Shared grid constants and reference helpers for the test suite."""
 
+import sys
+from contextlib import contextmanager
+
 from gibsum.sequences import term
 
 # the six seed pairs every full-grid check runs over
@@ -27,3 +30,21 @@ def scan_first_zero(spec, lo, hi):
             return idx
         a, b = b, a + b
     return None
+
+
+@contextmanager
+def unlimited_int_str():
+    """Lift CPython's int/str digit cap inside the block, then restore it.
+
+    gibsum leaves the cap alone, so str() as the reference for huge values
+    needs it lifted locally.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.11: no cap
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)

@@ -5,13 +5,28 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gibsum
+from conftest import unlimited_int_str
 from gibsum import ZeroTermError, verifier
-from gibsum.cli import main, run_bench, _parse_range, _parse_seeds
+from gibsum.cli import main, run_bench, _digest, _parse_range, _parse_seeds
+
+
+def _fib_pair_mod(n, m):
+    """(F(n), F(n+1)) mod m for n >= 0, by fast doubling."""
+    if n == 0:
+        return 0, 1
+    a, b = _fib_pair_mod(n >> 1, m)
+    c, d = a * (2 * b - a) % m, (a * a + b * b) % m
+    return (d, (c + d) % m) if n & 1 else (c, d)
+
+
+def _digit_cap():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 class TestParsers:
@@ -121,6 +136,25 @@ class TestEval:
         assert lines[0].startswith("identity\t")
         assert lines[1] == "sum_g2\t0\t1\t0\t3\t6\t6\ttrue\t"
 
+    def test_seed_over_default_digit_cap(self, capsys):
+        # main() lifts CPython's 4300-digit int/str cap while it runs, then restores it
+        big = 10**5000 - 1
+        cap = _digit_cap()
+        assert main(["eval", "sum_g2", f"--g0={'9' * 5000}", "--g1=1", "--n=2"]) == 0
+        assert _digit_cap() == cap
+        payload = json.loads(capsys.readouterr().out)
+        with unlimited_int_str():
+            assert (payload["g0"], payload["closed"]) == (str(big), str(1 + (big + 1) ** 2))
+
+    def test_value_over_two_million_digits(self, capsys):
+        # once "Exceeds the limit (2000000 digits)" and exit 2
+        n = 4_900_000
+        assert main(["eval", "sum_g2", f"--n={n}"]) == 0
+        closed = json.loads(capsys.readouterr().out)["closed"]
+        assert len(closed) > 2_000_000 and closed.isdigit()
+        f_n, f_n1 = _fib_pair_mod(n, 10**30)
+        assert closed[-30:] == str(f_n * f_n1 % 10**30).zfill(30)
+
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         broken = dataclasses.replace(
             verifier.descriptor("sum_g2"), evaluate=lambda spec, t, n: 999
@@ -132,6 +166,14 @@ class TestEval:
 
 
 class TestVerify:
+    def test_seeds_over_default_digit_cap(self, capsys):
+        big = "9" * 5000
+        cap = _digit_cap()
+        assert main(["verify", "sum_g2", f"--seeds={big},1;2,-{big}", "--n=0..2", "--format=tsv"]) == 0
+        assert _digit_cap() == cap
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split("\t")[1:3] for row in rows] == [[big, "1"]] * 3 + [["2", "-" + big]] * 3
+
     def test_single_identity_json(self, capsys):
         code = main(["verify", "sum_g2", "--seeds", "0,1;2,1", "--t=-1..1", "--n", "0..4"])
         assert code == 0
@@ -231,6 +273,10 @@ class TestBench:
         text = str(sum_sixth_closed(FIBONACCI, 0, 100))
         assert result["closed_value"]["digits"] == len(text)
         assert result["closed_value"]["leading"] == text[:24]
+
+    @pytest.mark.parametrize("value,digits", [(0, 1), (-12, 2), (Fraction(-123, 4567), 7)])
+    def test_digest_counts_digits_only(self, value, digits):
+        assert _digest(value)["digits"] == digits
 
 
 class TestEntryPoints:

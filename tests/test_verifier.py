@@ -3,11 +3,17 @@
 import dataclasses
 import inspect
 import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import GRID_SEEDS, TELESCOPE_SEEDS, TELESCOPE_SHIFTS
+from conftest import GRID_SEEDS, TELESCOPE_SEEDS, TELESCOPE_SHIFTS, unlimited_int_str
 from gibsum import (
     GridSpec,
     POINT_IDENTITY_IDS,
@@ -24,7 +30,8 @@ from gibsum import (
     sweep,
     verify_one,
 )
-from gibsum import closed_forms, verifier
+from gibsum import closed_forms, render, verifier
+from gibsum.render import STR_CUTOFF_BITS
 
 F = SequenceSpec(0, 1)
 
@@ -64,7 +71,17 @@ class TestRegistry:
             assert evaluators.count(fn) == 1, fn.__name__
 
 
+def _split_widths(w):
+    """Every width the divide-and-conquer path splits a w-bit value into."""
+    if w <= render._LEAF_BITS:
+        return {w}
+    h = w >> 1
+    return {w} | _split_widths(h) | _split_widths(w - h)
+
+
 class TestRenderValue:
+    """Rendering is byte-identical to str() on both sides of the cutoff."""
+
     def test_integers(self):
         assert render_value(5) == "5"
         assert render_value(-12) == "-12"
@@ -73,6 +90,96 @@ class TestRenderValue:
     def test_ratios(self):
         assert render_value(Fraction(10, 4)) == "5/2"
         assert render_value(Fraction(-1, 18)) == "-1/18"
+
+    def assert_same_as_str(self, values):
+        with unlimited_int_str():
+            expected = [str(v) for v in values]
+        assert [render_value(v) for v in values] == expected
+
+    def test_zero_and_units(self):
+        self.assert_same_as_str([0, 1, -1])
+
+    @pytest.mark.parametrize("bits", [STR_CUTOFF_BITS - 1, STR_CUTOFF_BITS, STR_CUTOFF_BITS + 1])
+    def test_at_the_cutoff(self, bits):
+        rng = random.Random(bits)
+        values = [1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)]
+        self.assert_same_as_str(values + [-v for v in values])
+
+    def test_random_sizes_both_signs(self):
+        rng = random.Random(5)
+        sizes = [2, 64, 1000, 12_345, 12_999, 16_384, 20_001, 33_333, 65_537, 100_000, 300_000]
+        values = [rng.getrandbits(b) | 1 << (b - 1) for b in sizes]
+        values += [rng.getrandbits(rng.randrange(12_001, 40_000)) for _ in range(20)]
+        self.assert_same_as_str(values + [-v for v in values])
+
+    @pytest.mark.parametrize("k", [1, 3612, 3613, 3614, 5000, 20_000, 90_000])
+    def test_powers_of_ten(self, k):
+        # a lost leading or trailing zero would show here
+        self.assert_same_as_str([10**k, 10**k - 1, 10**k + 1, -(10**k)])
+
+    @pytest.mark.parametrize("bits", [STR_CUTOFF_BITS + 1, 20_000, 65_537])
+    def test_powers_of_two_at_split_points(self, bits):
+        # all-zero low halves, a lone high bit, and carries across every split
+        values = [1 << w for w in _split_widths(bits)]
+        values += [v + d for v in values for d in (-1, 1)]
+        values += [(1 << bits) - 1, (1 << (bits - 1)) + 1]
+        self.assert_same_as_str(values + [-v for v in values])
+
+    def test_huge_fractions(self):
+        rng = random.Random(11)
+        fractions = [
+            Fraction(rng.getrandbits(60_000) + 1, rng.getrandbits(45_000) + 1),
+            Fraction(-(rng.getrandbits(13_000) + 1), (1 << 70_000) + 1),
+            Fraction(-7, 10**9000 + 3),
+        ]
+        with unlimited_int_str():
+            expected = [f"{f.numerator}/{f.denominator}" for f in fractions]
+        assert [render_value(f) for f in fractions] == expected
+
+    def test_over_two_million_digits(self):
+        # checked without a full str(), which takes minutes at this size
+        value = 7**2_500_000
+        text = render_value(value)
+        digits = len(text)
+        assert digits > 2_000_000
+        scale = 10 ** (digits - 50)
+        assert text[:50] == str(value // scale)  # also pins the digit count
+        assert 10**49 <= value // scale < 10**50
+        assert text[-50:] == str(value % 10**50).zfill(50)
+
+    def test_zero_term_message_renders_huge_seeds(self):
+        big = 10**5000 + 1
+        message = str(ZeroTermError(2, (big, -big)))
+        with unlimited_int_str():
+            assert message == f"zero term at index 2 for seeds ({big}, {-big})"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit cap before Python 3.11"
+    )
+    def test_import_leaves_the_digit_cap_alone(self):
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            before = sys.get_int_max_str_digits()
+            import gibsum
+            assert sys.get_int_max_str_digits() == before == 4300
+            p, q = 7**23_665 + 2, 3**41_918 + 4  # 20 k digits each
+            texts = [gibsum.render_value(p), gibsum.render_value(Fraction(-p, q))]
+            sys.set_int_max_str_digits(0)
+            expected = [str(p), f"{-p}/{q}"]
+            sys.set_int_max_str_digits(before)
+            assert len(expected[0]) == 20_000 and len(expected[1]) == 40_002
+            assert texts == expected
+            print("ok")
+        """)
+        src = str(Path(verifier.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "4300"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 class TestVerifyOne:
