@@ -10,6 +10,13 @@ telescoping identities stay valid verbatim on the whole integer line.
 Divisions are carried out exactly. Integer-valued forms assert
 divisibility and raise IntegralityError on violation; that error signals
 a bug in this module, never bad input.
+
+The four seed-free integer forms keep their body in a private function
+written over any exact number type (only + - * ** and a remainder check),
+which the public function calls with int seeds. `gibsum eval` runs the
+same body on Decimal seeds inside render.exact_context(), so a large
+value is computed by libmpdec and printed without an int-to-text
+conversion; the public functions still return int (or Fraction).
 """
 
 from __future__ import annotations
@@ -30,11 +37,20 @@ from .sequences import (
 )
 
 
-def _exact_quarter(num: int, op: str) -> int:
+def _exact_quarter(num, op: str):
+    # the remainder is the check: a Decimal num / 4 is exact (x.25) and
+    # raises no Inexact, and on a Decimal divmod truncates toward zero
     q, r = divmod(num, 4)
     if r:
         # keep the huge numerator out of the message; the remainder suffices
         raise IntegralityError(f"{op}: numerator not divisible by 4 (remainder {r})")
+    return q
+
+
+def _exact_half(num, op: str):
+    q, r = divmod(num, 2)
+    if r:
+        raise IntegralityError(f"{op}: result has denominator 2, expected 1")
     return q
 
 
@@ -44,7 +60,7 @@ def _require_integral(value: Fraction, op: str) -> Fraction:
     return value
 
 
-def _triple_square(spec: SequenceSpec, m: int) -> int:
+def _triple_square(spec: SequenceSpec, m: int):
     """P(m) = (G(m) G(m+1) G(m+2))^2, the window product several forms anchor on."""
     p = prod(window(spec, m, 3))  # the three terms are freed before squaring
     return p * p
@@ -52,6 +68,10 @@ def _triple_square(spec: SequenceSpec, m: int) -> int:
 
 def sum_squares_closed(spec: SequenceSpec, t: int, n: int) -> int:
     """Sum of G(j+t)^2 for j in 1..n: G(n+t)G(n+t+1) - G(t)G(t+1)."""
+    return _sum_squares(spec, t, n)
+
+
+def _sum_squares(spec: SequenceSpec, t: int, n: int):
     hi0, hi1 = window(spec, n + t, 2)
     lo0, lo1 = window(spec, t, 2)
     return hi0 * hi1 - lo0 * lo1
@@ -64,6 +84,10 @@ def sum_sixth_closed(spec: SequenceSpec, t: int, n: int) -> int:
                + e^2 (G(n+t)(G(n+t+1) + G(n+t-1)) - G(t)(G(t+1) + G(t-1)))] / 4
     with e the characteristic constant of the seeds.
     """
+    return _sum_sixth(spec, t, n)
+
+
+def _sum_sixth(spec: SequenceSpec, t: int, n: int):
     hm1, hi, hp1, _, hp3 = window(spec, n + t - 1, 5)
     lm1, lo, lp1, _, lp3 = window(spec, t - 1, 5)
     e2 = characteristic_e(spec) ** 2
@@ -112,9 +136,13 @@ def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     """Alternating sum of (-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1)) for j in 1..n.
 
     With P(m) = (G(m) G(m+1) G(m+2))^2 and Q(m) = G(m+1)^4 G(m)^2 the value is
-    (-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t). Always an integer;
-    returned as a den = 1 rational and asserted so.
+    (-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t). Always an integer
+    (the halved part is checked to be exact); returned as a den = 1 rational.
     """
+    return Fraction(_alt_sum_fifth(spec, t, n))
+
+
+def _alt_sum_fifth(spec: SequenceSpec, t: int, n: int):
     sign = -1 if n % 2 else 1  # (-1)^n
     hi0, hi1, hi2 = window(spec, n + t, 3)
     lo0, lo1, lo2 = window(spec, t, 3)
@@ -122,8 +150,7 @@ def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     p_lo = (lo0 * lo1 * lo2) ** 2
     q_hi = hi1**4 * hi0**2
     q_lo = lo1**4 * lo0**2
-    value = Fraction(p_lo - sign * p_hi, 2) + sign * q_hi - q_lo
-    return _require_integral(value, "alt_sum_fifth_closed")
+    return _exact_half(p_lo - sign * p_hi, "alt_sum_fifth_closed") + sign * q_hi - q_lo
 
 
 def fib_alt_f5l_closed(n: int) -> Fraction:
@@ -159,6 +186,10 @@ def lucas_alt_l5f_closed(n: int) -> Fraction:
 
 def sum_cubes_product_closed(spec: SequenceSpec, t: int, n: int) -> int:
     """Sum of G(j+t)^3 G(j+t+1)^3 for j in 1..n: (P(n+t) - P(t)) / 4."""
+    return _sum_cubes_product(spec, t, n)
+
+
+def _sum_cubes_product(spec: SequenceSpec, t: int, n: int):
     num = _triple_square(spec, n + t) - _triple_square(spec, t)
     return _exact_quarter(num, "sum_cubes_product_closed")
 

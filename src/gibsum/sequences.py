@@ -41,9 +41,12 @@ FIBONACCI = SequenceSpec(0, 1)
 LUCAS = SequenceSpec(2, 1)
 
 
-def _fib_pair(k: int) -> tuple[int, int]:
-    """(F(k), F(k+1)) for k >= 0, by fast doubling over the bits of k."""
-    a, b = 0, 1
+def _fib_pair(k: int, one=1):
+    """(F(k), F(k+1)) for k >= 0, by fast doubling over the bits of k.
+
+    The terms are multiples of one, so they have its number type.
+    """
+    a, b = one - one, one
     for i in range(k.bit_length() - 1, -1, -1):
         c = a * (2 * b - a)  # F(2m)
         d = a * a + b * b    # F(2m+1)
@@ -54,11 +57,11 @@ def _fib_pair(k: int) -> tuple[int, int]:
     return a, b
 
 
-def _fib_at(k: int) -> tuple[int, int]:
+def _fib_at(k: int, one=1):
     """(F(k), F(k+1)) for any integer k, from one fast-doubling pass."""
     if k >= 0:
-        return _fib_pair(k)
-    fm, fm1 = _fib_pair(-k)
+        return _fib_pair(k, one)
+    fm, fm1 = _fib_pair(-k, one)
     fm_1 = fm1 - fm  # F(m-1) for m = -k; F(-m) = (-1)^(m+1) F(m)
     return (fm, -fm_1) if k & 1 else (-fm, fm_1)
 
@@ -82,12 +85,14 @@ def term(spec: SequenceSpec, k: int) -> int:
     return spec.g1 * fk + spec.g0 * (fk1 - fk)
 
 
-def window(spec: SequenceSpec, m: int, count: int) -> list[int]:
+def window(spec: SequenceSpec, m: int, count: int) -> list:
     """The count consecutive terms G(m), ..., G(m+count-1).
 
     One fast-doubling pass gives G(m) and G(m+1); the rest are additions.
+    The terms have the seeds' number type: int, or an integer-valued
+    Decimal inside render.exact_context().
     """
-    fm, fm1 = _fib_at(m)
+    fm, fm1 = _fib_at(m, type(spec.g1)(1))
     terms = [spec.g1 * fm + spec.g0 * (fm1 - fm), spec.g1 * fm1 + spec.g0 * fm]
     while len(terms) < count:
         terms.append(terms[-1] + terms[-2])

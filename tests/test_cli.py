@@ -25,6 +25,35 @@ def _fib_pair_mod(n, m):
     return (d, (c + d) % m) if n & 1 else (c, d)
 
 
+def _terms_mod(g0, g1, k, count, m):
+    """G(k), ..., G(k+count-1) mod m for k >= 0."""
+    f, f1 = _fib_pair_mod(k, m)
+    terms = [(g1 * f + g0 * (f1 - f)) % m, (g1 * f1 + g0 * f) % m]
+    while len(terms) < count:
+        terms.append((terms[-1] + terms[-2]) % m)
+    return terms
+
+
+def _closed_mod(identity, g0, g1, t, n, m):
+    """The closed form at (g0, g1, t, n) mod m, with t >= 1 and n >= 0."""
+    if identity == "sum_g6":
+        e2 = (g0 * g0 - g1 * g1 + g0 * g1) ** 2
+        hm1, hi, hp1, _, hp3 = _terms_mod(g0, g1, n + t - 1, 5, 4 * m)
+        lm1, lo, lp1, _, lp3 = _terms_mod(g0, g1, t - 1, 5, 4 * m)
+        num = hi**5 * hp3 - lo**5 * lp3 + e2 * (hi * (hp1 + hm1) - lo * (lp1 + lm1))
+        return num % (4 * m) // 4
+    if identity == "sum_g3g3":
+        h0, h1, h2 = _terms_mod(g0, g1, n + t, 3, 4 * m)
+        l0, l1, l2 = _terms_mod(g0, g1, t, 3, 4 * m)
+        return ((h0 * h1 * h2) ** 2 - (l0 * l1 * l2) ** 2) % (4 * m) // 4
+    assert identity == "alt_g5"
+    sign = -1 if n % 2 else 1
+    h0, h1, h2 = _terms_mod(g0, g1, n + t, 3, 2 * m)
+    l0, l1, l2 = _terms_mod(g0, g1, t, 3, 2 * m)
+    half = ((l0 * l1 * l2) ** 2 - sign * (h0 * h1 * h2) ** 2) % (2 * m) // 2
+    return (half + sign * h1**4 * h0**2 - l1**4 * l0**2) % m
+
+
 def _digit_cap():
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
@@ -154,6 +183,20 @@ class TestEval:
         assert len(closed) > 2_000_000 and closed.isdigit()
         f_n, f_n1 = _fib_pair_mod(n, 10**30)
         assert closed[-30:] == str(f_n * f_n1 % 10**30).zfill(30)
+
+    @pytest.mark.parametrize("identity", ["sum_g6", "alt_g5", "sum_g3g3"])
+    def test_large_value_trailing_digits(self, capsys, identity):
+        # computed in decimal from the seeds up; checked mod 10^30
+        g0, g1, t, n = 3, -4, 7, 1_000_000
+        assert main(["eval", identity, f"--g0={g0}", f"--g1={g1}", f"--t={t}", f"--n={n}"]) == 0
+        closed = json.loads(capsys.readouterr().out)["closed"]
+        digits = closed.lstrip("-")
+        assert len(digits) > 1_000_000 and digits.isdigit() and digits[0] != "0"
+        m = 10**30
+        expected = _closed_mod(identity, g0, g1, t, n, m)
+        if closed.startswith("-"):
+            expected = -expected % m
+        assert digits[-30:] == str(expected).zfill(30)
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         broken = dataclasses.replace(
@@ -293,6 +336,26 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["match"] is True
+
+    @pytest.mark.parametrize("identity", ["sum_g6", "sum_g2", "alt_g5", "sum_g3g3", "recip"])
+    def test_traced_child_prints_the_same(self, tmp_path, identity):
+        # perfbench's tracer wraps the public closed forms and reads
+        # int/Fraction results; eval must run unchanged under it
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(gibsum.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, str(root / "perfbench")))}
+        argv = ["eval", identity, "--g0=3", "--g1=-4", "--t=2", "--n=5000"]
+        spans = tmp_path / "spans.json"
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "cli_child.py"), str(spans), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "gibsum", *argv], capture_output=True, text=True, env=env
+        )
+        assert traced.returncode == 0, traced.stderr
+        assert spans.stat().st_size > 0
+        assert traced.stdout == plain.stdout
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

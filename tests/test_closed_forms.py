@@ -1,5 +1,6 @@
 """Closed-form evaluators: frozen values, coherence, and domain errors."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,9 @@ from gibsum import (
     treeby_f3_closed,
     treeby_l3_closed,
 )
-from gibsum.closed_forms import _exact_quarter, _require_integral
+from gibsum.closed_forms import _exact_half, _exact_quarter, _require_integral
+from gibsum.render import exact_context, integer_text
+from gibsum.verifier import REGISTRY, descriptor, render_value
 
 F = SequenceSpec(0, 1)
 L = SequenceSpec(2, 1)
@@ -179,6 +182,21 @@ class TestIntegralityGuards:
             _exact_quarter(10, "someop")
         assert "someop" in str(exc.value)
 
+    @pytest.mark.parametrize("number", [int, Decimal])
+    def test_exact_divisions_check_the_remainder(self, number):
+        # a Decimal halves or quarters exactly (x.5, x.25) without Inexact,
+        # so only the remainder tells an integer result
+        with exact_context():
+            assert _exact_quarter(number(-8), "op") == -2
+            assert _exact_half(number(-6), "op") == -3
+            for num in (10, -7, 3):
+                with pytest.raises(IntegralityError, match="someop: numerator not divisible by 4"):
+                    _exact_quarter(number(num), "someop")
+            for num in (7, -7):
+                with pytest.raises(IntegralityError) as exc:
+                    _exact_half(number(num), "someop")
+                assert str(exc.value) == "someop: result has denominator 2, expected 1"
+
     def test_require_integral(self):
         assert _require_integral(Fraction(4, 2), "op") == 2
         with pytest.raises(IntegralityError):
@@ -192,3 +210,29 @@ class TestIntegralityGuards:
                 assert isinstance(sum_sixth_closed(spec, t, n), int)
                 assert alt_sum_fifth_closed(spec, t, n).denominator == 1
                 assert isinstance(sum_cubes_product_closed(spec, t, n), int)
+
+
+DECIMAL_IDS = ("sum_g6", "sum_g2", "alt_g5", "sum_g3g3")
+
+
+class TestDecimalPath:
+    def test_generic_bodies_are_the_seed_free_integer_forms(self):
+        assert tuple(d.id for d in REGISTRY if d.generic is not None) == DECIMAL_IDS
+
+    @pytest.mark.parametrize("identity", DECIMAL_IDS)
+    def test_text_equals_int_path(self, identity):
+        desc = descriptor(identity)
+        for seeds in GRID_SEEDS:
+            spec = SequenceSpec(*seeds)
+            for t in range(FULL_T_RANGE[0], FULL_T_RANGE[1] + 1):
+                for n in range(-12, FULL_N_RANGE[1] + 1):
+                    expected = render_value(desc.closed(spec, t, n))
+                    assert desc.closed_text(spec, t, n) == expected, (seeds, t, n)
+
+    def test_negative_zero_prints_as_zero(self):
+        with exact_context():
+            zero = Decimal("-0") - Decimal("0")
+        assert str(zero) == "-0"
+        assert integer_text(zero) == "0"
+        assert integer_text(Decimal(0)) == "0"
+        assert integer_text(Decimal(-120)) == "-120"
