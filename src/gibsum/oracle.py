@@ -5,8 +5,9 @@ consecutive sequence terms. oracle_walk() yields every partial sum of a
 line n_lo..n_hi from one walk, so the whole line costs O(|n_lo| + |n_hi|)
 summands rather than O(|n|) per point; oracle_sum() is its one-point
 case. Nothing here consults a closed form; the only shared code is
-term() from the sequences module, which is itself cross-checked against
-the single-step recurrence.
+window() from the sequences module, one fast-doubling pass for a run of
+consecutive terms, which is itself cross-checked against term() and the
+single-step recurrence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import enum
 from fractions import Fraction
 
 from .errors import ZeroTermError
-from .sequences import SequenceSpec, term
+from .sequences import SequenceSpec, window
 
 
 class SummandKind(enum.Enum):
@@ -59,10 +60,10 @@ def oracle_term(kind: SummandKind, spec: SequenceSpec, t: int, j: int) -> Fracti
     """The j-th summand of the given family, as an exact rational."""
     m = j + t
     lo, hi = _WINDOW_OFFSETS[kind]
-    window = [term(spec, m + off) for off in range(lo, hi + 1)]
-    if kind is SummandKind.RECIPROCAL_WINDOW and 0 in window:
-        raise ZeroTermError(m + lo + window.index(0), spec.seeds)
-    return Fraction(_summand(kind, window, j))
+    terms = window(spec, m + lo, hi - lo + 1)
+    if kind is SummandKind.RECIPROCAL_WINDOW and 0 in terms:
+        raise ZeroTermError(m + lo + terms.index(0), spec.seeds)
+    return Fraction(_summand(kind, terms, j))
 
 
 def oracle_walk(
@@ -80,34 +81,34 @@ def oracle_walk(
     up, down = [], []
     if n_hi >= 0:
         # window at j = 1; S(0) touches all of it but the last term
-        window = [term(spec, 1 + t + off) for off in range(off_lo, off_hi + 1)]
-        zero = 1 + t + off_lo + window.index(0) if recip and 0 in window[:-1] else None
+        terms = window(spec, 1 + t + off_lo, off_hi - off_lo + 1)
+        zero = 1 + t + off_lo + terms.index(0) if recip and 0 in terms[:-1] else None
         total = 0
         if n_lo <= 0:
             up.append(Fraction(total) if zero is None else zero)
         for j in range(1, n_hi + 1):
-            if recip and zero is None and window[-1] == 0:
+            if recip and zero is None and terms[-1] == 0:
                 zero = j + t + off_hi
             if zero is None:
-                total += _summand(kind, window, j)
+                total += _summand(kind, terms, j)
             if j >= n_lo:
                 up.append(Fraction(total) if zero is None else zero)
-            window.append(window[-1] + window[-2])
-            window.pop(0)
+            terms.append(terms[-1] + terms[-2])
+            terms.pop(0)
     if n_lo < 0:
         # window at j = 0; S(0) touches all of it but the first term
-        window = [term(spec, t + off) for off in range(off_lo, off_hi + 1)]
-        zero = t + off_lo + window.index(0, 1) if recip and 0 in window[1:] else None
+        terms = window(spec, t + off_lo, off_hi - off_lo + 1)
+        zero = t + off_lo + terms.index(0, 1) if recip and 0 in terms[1:] else None
         total = 0
         for j in range(0, n_lo, -1):  # summand j turns S(j) into S(j-1)
-            if recip and window[0] == 0:
+            if recip and terms[0] == 0:
                 zero = j + t + off_lo
             if zero is None:
-                total -= _summand(kind, window, j)
+                total -= _summand(kind, terms, j)
             if j - 1 <= n_hi:
                 down.append(Fraction(total) if zero is None else zero)
-            window.insert(0, window[1] - window[0])
-            window.pop()
+            terms.insert(0, terms[1] - terms[0])
+            terms.pop()
     return down[::-1] + up
 
 

@@ -9,6 +9,8 @@ The Fibonacci numbers are the (0, 1) sequence and the Lucas numbers the
 (2, 1) sequence. Every other sequence is a linear combination of Fibonacci
 terms: G(k) = G1*F(k) + G0*F(k-1), which is what makes O(log|k|) term access
 possible, and a run of consecutive terms costs one such pass plus additions.
+The pass doubles the pair (F(m), L(m)) over the bits of k, with one product
+and one square per bit, and reads F(k+1) = (F(k) + L(k)) / 2 at the end.
 
 A sequence has at most one zero term: if G(a) = 0 then G(k) = G(a+1)*F(k-a),
 and F vanishes only at 0. The zero, when there is one, lies within about
@@ -42,19 +44,21 @@ LUCAS = SequenceSpec(2, 1)
 
 
 def _fib_pair(k: int, one=1):
-    """(F(k), F(k+1)) for k >= 0, by fast doubling over the bits of k.
+    """(F(k), F(k+1)) for k >= 0, by fast doubling of (F, L) over the bits of k.
 
-    The terms are multiples of one, so they have its number type.
+    F(2m) = F(m) L(m) and L(2m) = L(m)^2 - 2(-1)^m: one product and one
+    square per bit. A set bit steps m to m+1 with F(m+1) = (F(m) + L(m)) / 2
+    and L(m+1) = (5 F(m) + L(m)) / 2, and the end returns F(k+1) the same
+    way; these halvings are exact. The terms are multiples of one, so they
+    have its number type.
     """
-    a, b = one - one, one
-    for i in range(k.bit_length() - 1, -1, -1):
-        c = a * (2 * b - a)  # F(2m)
-        d = a * a + b * b    # F(2m+1)
-        if (k >> i) & 1:
-            a, b = d, c + d
-        else:
-            a, b = c, d
-    return a, b
+    fm, lm, odd = one - one, 2 * one, False  # F(m), L(m), m odd; m = 0
+    for bit in f"{k:b}":
+        fm, lm = fm * lm, lm * lm + (2 if odd else -2)
+        odd = bit == "1"
+        if odd:
+            fm, lm = (fm + lm) // 2, (5 * fm + lm) // 2
+    return fm, (fm + lm) // 2
 
 
 def _fib_at(k: int, one=1):

@@ -4,6 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import FULL_N_RANGE, FULL_T_RANGE, GRID_SEEDS
 from gibsum import (
@@ -25,8 +26,16 @@ from gibsum import (
     treeby_f3_closed,
     treeby_l3_closed,
 )
-from gibsum.closed_forms import _exact_half, _exact_quarter, _require_integral
+from gibsum.closed_forms import (
+    _alt_end,
+    _exact_half,
+    _exact_quarter,
+    _require_integral,
+    _sixth_end,
+    _triple_square,
+)
 from gibsum.render import exact_context, integer_text
+from gibsum.sequences import characteristic_e, fib, lucas, term
 from gibsum.verifier import REGISTRY, descriptor, render_value
 
 F = SequenceSpec(0, 1)
@@ -85,6 +94,104 @@ class TestSpotValues:
     def test_recip_specials(self):
         assert recip_fib_special(1) == Fraction(1, 18)
         assert recip_lucas_special(1) == Fraction(1, 588)
+
+
+def _textbook_sixth_end(spec, m):
+    """G(m)^5 G(m+3) + e^2 G(m)(G(m+1) + G(m-1)), term by term."""
+    g = term(spec, m)
+    return g**5 * term(spec, m + 3) + characteristic_e(spec) ** 2 * g * (
+        term(spec, m + 1) + term(spec, m - 1)
+    )
+
+
+def _textbook_alt_end(spec, m):
+    """2Q(m) - P(m), Q(m) = G(m+1)^4 G(m)^2, P(m) = (G(m) G(m+1) G(m+2))^2."""
+    g0, g1, g2 = term(spec, m), term(spec, m + 1), term(spec, m + 2)
+    return 2 * g1**4 * g0**2 - (g0 * g1 * g2) ** 2
+
+
+def _textbook_triple_square(spec, m):
+    return (term(spec, m) * term(spec, m + 1) * term(spec, m + 2)) ** 2
+
+
+def _kernels(spec, m):
+    """The three end kernels at (spec, m), in the seeds' number type."""
+    e = characteristic_e(spec)
+    return _sixth_end(spec, m, e * e), _alt_end(spec, m, e), _triple_square(spec, m)
+
+
+def _textbook(spec, m):
+    return (
+        _textbook_sixth_end(spec, m),
+        _textbook_alt_end(spec, m),
+        _textbook_triple_square(spec, m),
+    )
+
+
+# seeds of both signs, with and without a zero term, up to 10^30 in size
+KERNEL_SEEDS = GRID_SEEDS + ((1, -1), (-5, 8), (10**30, -(10**30) + 7), (-(10**30), 3))
+kernel_seed = st.integers(min_value=-(10**30), max_value=10**30)
+
+
+class TestKernels:
+    # the rewritten ends hold for all seeds and indices: checked against the
+    # printed shapes evaluated term by term, on both parities of m
+
+    @pytest.mark.parametrize("seeds", KERNEL_SEEDS)
+    def test_match_textbook_shapes(self, seeds):
+        spec = SequenceSpec(*seeds)
+        for m in range(-40, 41):
+            assert _kernels(spec, m) == _textbook(spec, m), (seeds, m)
+
+    @given(g0=kernel_seed, g1=kernel_seed, m=st.integers(min_value=-400, max_value=400))
+    def test_match_textbook_shapes_anywhere(self, g0, g1, m):
+        spec = SequenceSpec(g0, g1 if (g0, g1) != (0, 0) else 1)
+        assert _kernels(spec, m) == _textbook(spec, m)
+
+    @pytest.mark.parametrize("seeds", KERNEL_SEEDS)
+    def test_decimal_kernels_equal_int(self, seeds):
+        spec = SequenceSpec(*seeds)
+        dec = SequenceSpec(Decimal(seeds[0]), Decimal(seeds[1]))
+        for m in (-301, -40, -1, 0, 1, 2, 37, 300):
+            with exact_context():
+                got = _kernels(dec, m)
+            assert all(isinstance(v, Decimal) for v in got)
+            assert got == _textbook(spec, m), (seeds, m)
+
+    def test_zero_term_ends(self):
+        # x = G(m) G(m+1) = 0 on either side of a zero term
+        for seeds, zero in (((0, 1), 0), ((1, -1), 2), ((1, 1), -1)):
+            spec = SequenceSpec(*seeds)
+            for m in (zero - 1, zero):
+                assert _alt_end(spec, m, characteristic_e(spec)) == 0
+                assert _triple_square(spec, m) == 0
+            assert _kernels(spec, zero) == _textbook(spec, zero)
+
+    def test_special_ends_keep_the_published_shapes(self):
+        # fib6 and lucas6 take F(2m) from the terms at m; alt specials take
+        # D(n) for the printed product after (-1)^n / 2 and (-1)^n / 10
+        for m in range(-60, 61):
+            assert _sixth_end(F, m, 1) == fib(m) ** 5 * fib(m + 3) + fib(2 * m)
+            assert _sixth_end(L, m, 25) == lucas(m) ** 5 * lucas(m + 3) + 125 * fib(2 * m)
+            fm, fm1, fm3 = fib(m), fib(m + 1), fib(m + 3)
+            assert _alt_end(F, m, -1) == fm**2 * fm1**2 * (fm1**2 - fm * fm3)
+            lm, lm1, lm3 = lucas(m), lucas(m + 1), lucas(m + 3)
+            assert _alt_end(L, m, 5) == lm**2 * lm1**2 * (lm1**2 - lm * lm3)
+
+    def test_specials_at_large_n_equal_published_shapes(self):
+        for n in (999, 1000, 5001):
+            sign = -1 if n % 2 else 1
+            fn, fn1, fn3 = fib(n), fib(n + 1), fib(n + 3)
+            assert fib_alt_f5l_closed(n) == Fraction(sign * fn**2 * fn1**2 * (fn1**2 - fn * fn3), 2)
+            ln, ln1, ln3 = lucas(n), lucas(n + 1), lucas(n + 3)
+            expected = Fraction(sign * ln**2 * ln1**2 * (ln1**2 - ln * ln3), 10) + Fraction(14, 5)
+            assert lucas_alt_l5f_closed(n) == expected
+            assert fib_sixth_closed(3, n) == (
+                fib(n + 3) ** 5 * fib(n + 6) - 2**5 * 8 + fib(2 * n + 6) - fib(6)
+            ) // 4
+            assert lucas_sixth_closed(-2, n) == (
+                lucas(n - 2) ** 5 * lucas(n + 1) - 3**5 * 1 + 125 * (fib(2 * n - 4) - fib(-4))
+            ) // 4
 
 
 class TestSpecializationCoherence:

@@ -1,7 +1,9 @@
 """Core sequence evaluation: fast terms vs single-step iteration."""
 
+from decimal import Decimal
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import GRID_SEEDS, scan_first_zero, unlimited_int_str
 from gibsum import (
@@ -16,7 +18,8 @@ from gibsum import (
     term,
     term_naive,
 )
-from gibsum.sequences import window, zero_index
+from gibsum.render import exact_context
+from gibsum.sequences import _fib_pair, window, zero_index
 
 seed_ints = st.integers(min_value=-50, max_value=50)
 
@@ -76,6 +79,36 @@ class TestTerm:
             g1 = 1
         spec = SequenceSpec(g0, g1)
         assert term(spec, k) == term_naive(spec, k)
+
+
+def _fib_pair_naive(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a, b
+
+
+class TestFibPair:
+    # (F, L) doubling against single steps: every k up to 1000 walks each
+    # bit pattern, both parities of m in the L(2m) step and every halving
+
+    def test_matches_naive_up_to_1000(self):
+        a, b = 0, 1
+        for k in range(1001):
+            assert _fib_pair(k) == (a, b), k
+            a, b = b, a + b
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(min_value=1001, max_value=10**5))
+    def test_matches_naive_at_large_k(self, k):
+        assert _fib_pair(k) == _fib_pair_naive(k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 64, 1000, 2**17 - 1, 2**17, 98765])
+    def test_decimal_equals_int(self, k):
+        with exact_context():
+            got = _fib_pair(k, Decimal(1))
+        assert all(isinstance(v, Decimal) for v in got)
+        assert got == _fib_pair(k)
 
 
 class TestNaive:

@@ -70,6 +70,19 @@ class TestRegistry:
         for fn in public:
             assert evaluators.count(fn) == 1, fn.__name__
 
+    def test_readme_catalog_matches_registry(self):
+        # the kernels need not follow the printed shapes, but the shapes the
+        # README and `gibsum list` show must not drift apart
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| id | summand | closed form |\n|----|---------|-------------|\n")[1]
+        rows = []
+        for line in table.split("\n\n")[0].splitlines():
+            cells = [c.strip() for c in line.strip("|").split(" | ")]
+            # alt_g5 writes its ", P(m) = ..., Q(m) = ..." tail as "` with `P(m) = ...`, `Q(m) ..."
+            closed = cells[2].replace("` with `", ", ").replace("`, `", ", ")
+            rows.append(tuple(c.strip("`") for c in (cells[0], cells[1], closed)))
+        assert rows == [(d.id, d.summand, d.closed_form) for d in REGISTRY]
+
 
 def _split_widths(w):
     """Every width the divide-and-conquer path splits a w-bit value into."""
