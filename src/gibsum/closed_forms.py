@@ -8,19 +8,10 @@ under which S(n) - S(n-1) = term_n holds at every integer n, so the
 telescoping identities stay valid verbatim on the whole integer line.
 
 Each end of a sum is a polynomial in two consecutive terms a = G(m),
-b = G(m+1), read from one window() pass. The identity
-G(m)^2 - G(m+1)^2 + G(m) G(m+1) = e_m, where e_m = (-1)^m e and e is the
-characteristic constant, lets the printed shapes be evaluated with fewer
-and more balanced big-integer multiplications:
-
-- sixth-power end, (a^2)^2 (a^2 + 2ab) + e^2 (2ab - a^2): squares a^2 and
-  (a^2)^2, products ab and one at full size; four, where the printed
-  G(m)^5 G(m+3) + e^2 G(m)(G(m+1) + G(m-1)) takes five, two lopsided;
-- alternating end D = 2Q - P = -(ab)^2 (ab + e_m): product ab, square
-  (ab)^2, one full-size product; three, where P and Q built apart take
-  seven;
-- window product P(m) = (b (b^2 + e_m))^2: square b^2, product, square;
-  three, as for the plain product, with one product turned into a square.
+b = G(m+1) from one window() pass. With G(m)^2 - G(m+1)^2 + G(m) G(m+1) =
+e_m = (-1)^m e, the printed shapes reduce to three or four balanced
+multiplications per end (_sixth_end, _alt_end, _triple_square), where as
+printed they take five to seven.
 
 Divisions are carried out exactly. Integer-valued forms assert
 divisibility and raise IntegralityError on violation; that error signals
@@ -76,9 +67,7 @@ def _require_integral(value: Fraction, op: str) -> Fraction:
 def _triple_square(spec: SequenceSpec, m: int):
     """P(m) = (G(m) G(m+1) G(m+2))^2, the window product several forms anchor on.
 
-    G(m) G(m+2) = G(m+1)^2 + e_m with e_m = (-1)^m e, so with b = G(m+1)
-    this is (b (b^2 + e_m))^2: b^2, its product with b, and one full-size
-    square.
+    Evaluated as (b (b^2 + e_m))^2, b = G(m+1), as G(m) G(m+2) = b^2 + e_m.
     """
     (b,) = window(spec, m + 1, 1)
     e = characteristic_e(spec)
@@ -97,28 +86,23 @@ def _sum_squares(spec: SequenceSpec, t: int, n: int):
     return hi0 * hi1 - lo0 * lo1
 
 
-def _sixth_end(spec: SequenceSpec, m: int, e2):
-    """G(m)^5 G(m+3) + e2 G(m)(G(m+1) + G(m-1)), one end of a sixth-power sum.
+def _sixth_end(spec: SequenceSpec, m: int):
+    """G(m)^5 G(m+3) + e^2 G(m)(G(m+1) + G(m-1)), one end of a sixth-power sum.
 
-    With a = G(m), b = G(m+1), x = ab: G(m+3) = a + 2b and
-    G(m+1) + G(m-1) = 2b - a, so this is (a^2)^2 (a^2 + 2x) + e2 (2x - a^2):
-    a^2 and x from the terms, then one square and one full-size product.
+    Evaluated as (a^2)^2 (a^2 + 2ab) + e^2 (2ab - a^2), a = G(m), b = G(m+1).
     """
     a, b = window(spec, m, 2)
     sq, x = a * a, a * b
-    return sq * sq * (sq + 2 * x) + e2 * (2 * x - sq)
+    return sq * sq * (sq + 2 * x) + characteristic_e(spec) ** 2 * (2 * x - sq)
 
 
-def _alt_end(spec: SequenceSpec, m: int, e):
+def _alt_end(spec: SequenceSpec, m: int):
     """D(m) = 2Q(m) - P(m) = -x^2 (x + e_m), x = G(m) G(m+1), e_m = (-1)^m e.
 
-    P(m) = (G(m) G(m+1) G(m+2))^2 and Q(m) = G(m+1)^4 G(m)^2 as in
-    alt_sum_fifth_closed; the shape follows from
-    G(m)^2 - G(m+1)^2 + G(m) G(m+1) = e_m: x from the terms, then one
-    square and one full-size product.
+    P and Q as in alt_sum_fifth_closed; D is one end of that sum.
     """
     a, b = window(spec, m, 2)
-    x = a * b
+    x, e = a * b, characteristic_e(spec)
     return -(x * x) * (x + (-e if m % 2 else e))
 
 
@@ -127,15 +111,13 @@ def sum_sixth_closed(spec: SequenceSpec, t: int, n: int) -> int:
 
     Evaluates [G(n+t)^5 G(n+t+3) - G(t)^5 G(t+3)
                + e^2 (G(n+t)(G(n+t+1) + G(n+t-1)) - G(t)(G(t+1) + G(t-1)))] / 4
-    with e the characteristic constant of the seeds, each end as _sixth_end
-    gives it.
+    with e the characteristic constant of the seeds.
     """
     return _sum_sixth(spec, t, n)
 
 
 def _sum_sixth(spec: SequenceSpec, t: int, n: int):
-    e2 = characteristic_e(spec) ** 2
-    num = _sixth_end(spec, n + t, e2) - _sixth_end(spec, t, e2)
+    num = _sixth_end(spec, n + t) - _sixth_end(spec, t)
     return _exact_quarter(num, "sum_sixth_closed")
 
 
@@ -144,10 +126,9 @@ def fib_sixth_closed(t: int, n: int) -> int:
 
     Uses F(2k) directly instead of the e^2 term:
     [F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4.
-    F(2k) = F(k)(F(k+1) + F(k-1)) is read from the terms at k, so each end
-    is _sixth_end with e2 = 1 and no second fast-doubling pass.
+    Each end is _sixth_end, as e^2 = 1 and F(2k) = F(k)(F(k+1) + F(k-1)).
     """
-    num = _sixth_end(FIBONACCI, n + t, 1) - _sixth_end(FIBONACCI, t, 1)
+    num = _sixth_end(FIBONACCI, n + t) - _sixth_end(FIBONACCI, t)
     return _exact_quarter(num, "fib_sixth_closed")
 
 
@@ -156,10 +137,9 @@ def lucas_sixth_closed(t: int, n: int) -> int:
 
     [L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4;
     at t = 0 this collapses to (L(n)^5 L(n+3) + 125 F(2n)) / 4 - 32.
-    5 F(2k) = L(k)(L(k+1) + L(k-1)) is read from the terms at k, so each
-    end is _sixth_end with e2 = 25.
+    Each end is _sixth_end, as e^2 = 25 and 5 F(2k) = L(k)(L(k+1) + L(k-1)).
     """
-    num = _sixth_end(LUCAS, n + t, 25) - _sixth_end(LUCAS, t, 25)
+    num = _sixth_end(LUCAS, n + t) - _sixth_end(LUCAS, t)
     return _exact_quarter(num, "lucas_sixth_closed")
 
 
@@ -167,18 +147,16 @@ def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     """Alternating sum of (-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1)) for j in 1..n.
 
     With P(m) = (G(m) G(m+1) G(m+2))^2 and Q(m) = G(m+1)^4 G(m)^2 the value is
-    (-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t), evaluated as
-    ((-1)^n D(n+t) - D(t)) / 2 with D = 2Q - P from _alt_end. Always an
-    integer (the halving is checked to be exact); returned as a den = 1
-    rational.
+    (-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t) = ((-1)^n D(n+t) - D(t)) / 2.
+    Always an integer (the halving is checked to be exact); returned as a
+    den = 1 rational.
     """
     return Fraction(_alt_sum_fifth(spec, t, n))
 
 
 def _alt_sum_fifth(spec: SequenceSpec, t: int, n: int):
     sign = -1 if n % 2 else 1  # (-1)^n
-    e = characteristic_e(spec)
-    num = sign * _alt_end(spec, n + t, e) - _alt_end(spec, t, e)
+    num = sign * _alt_end(spec, n + t) - _alt_end(spec, t)
     return _exact_half(num, "alt_sum_fifth_closed")
 
 
@@ -188,13 +166,12 @@ def fib_alt_f5l_closed(n: int) -> Fraction:
     Published closed form with the leading sign corrected to (-1)^n:
     (-1)^n / 2 * F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3)). The printed
     (-1)^(n+1) version contradicts the brute-force sum already at n = 1.
-    The product after (-1)^n / 2 is D(n) of _alt_end at e = -1.
+    The product after (-1)^n / 2 is D(n) of _alt_end.
     """
     if n < 0:
         raise DomainError(f"fib_alt_f5l_closed requires n >= 0, got {n}")
     sign = -1 if n % 2 else 1
-    value = Fraction(sign * _alt_end(FIBONACCI, n, -1), 2)
-    return _require_integral(value, "fib_alt_f5l_closed")
+    return Fraction(_exact_half(sign * _alt_end(FIBONACCI, n), "fib_alt_f5l_closed"))
 
 
 def lucas_alt_l5f_closed(n: int) -> Fraction:
@@ -204,12 +181,12 @@ def lucas_alt_l5f_closed(n: int) -> Fraction:
     (-1)^n / 10 * L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5.
     At n = 0 the two parts cancel to 0, matching the empty sum, so the
     formula is valid for every n >= 0. The product after (-1)^n / 10 is
-    D(n) of _alt_end at e = 5, and the value is ((-1)^n D(n) + 28) / 10.
+    D(n) of _alt_end.
     """
     if n < 0:
         raise DomainError(f"lucas_alt_l5f_closed requires n >= 0, got {n}")
     sign = -1 if n % 2 else 1
-    value = Fraction(sign * _alt_end(LUCAS, n, 5) + 28, 10)
+    value = Fraction(sign * _alt_end(LUCAS, n) + 28, 10)
     return _require_integral(value, "lucas_alt_l5f_closed")
 
 

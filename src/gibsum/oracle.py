@@ -6,8 +6,7 @@ line n_lo..n_hi from one walk, so the whole line costs O(|n_lo| + |n_hi|)
 summands rather than O(|n|) per point; oracle_sum() is its one-point
 case. Nothing here consults a closed form; the only shared code is
 window() from the sequences module, one fast-doubling pass for a run of
-consecutive terms, which is itself cross-checked against term() and the
-single-step recurrence.
+consecutive terms, itself cross-checked against the single-step recurrence.
 """
 
 from __future__ import annotations

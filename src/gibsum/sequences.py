@@ -9,8 +9,7 @@ The Fibonacci numbers are the (0, 1) sequence and the Lucas numbers the
 (2, 1) sequence. Every other sequence is a linear combination of Fibonacci
 terms: G(k) = G1*F(k) + G0*F(k-1), which is what makes O(log|k|) term access
 possible, and a run of consecutive terms costs one such pass plus additions.
-The pass doubles the pair (F(m), L(m)) over the bits of k, with one product
-and one square per bit, and reads F(k+1) = (F(k) + L(k)) / 2 at the end.
+The pass doubles (F(m), L(m)): one product and one square per bit of |k|.
 
 A sequence has at most one zero term: if G(a) = 0 then G(k) = G(a+1)*F(k-a),
 and F vanishes only at 0. The zero, when there is one, lies within about
@@ -44,35 +43,26 @@ LUCAS = SequenceSpec(2, 1)
 
 
 def _fib_pair(k: int, one=1):
-    """(F(k), F(k+1)) for k >= 0, by fast doubling of (F, L) over the bits of k.
+    """(F(k), F(k+1)) for any integer k, by fast doubling of (F, L) over |k|.
 
-    F(2m) = F(m) L(m) and L(2m) = L(m)^2 - 2(-1)^m: one product and one
-    square per bit. A set bit steps m to m+1 with F(m+1) = (F(m) + L(m)) / 2
-    and L(m+1) = (5 F(m) + L(m)) / 2, and the end returns F(k+1) the same
-    way; these halvings are exact. The terms are multiples of one, so they
-    have its number type.
+    F(2m) = F(m) L(m), L(2m) = L(m)^2 - 2(-1)^m: one product and one square
+    per bit; F(m+1) = (F(m) + L(m)) / 2 and L(m+1) = (5 F(m) + L(m)) / 2 are
+    exact halvings. The terms are multiples of one, so have its number type.
     """
     fm, lm, odd = one - one, 2 * one, False  # F(m), L(m), m odd; m = 0
-    for bit in f"{k:b}":
+    for bit in f"{abs(k):b}":
         fm, lm = fm * lm, lm * lm + (2 if odd else -2)
         odd = bit == "1"
         if odd:
             fm, lm = (fm + lm) // 2, (5 * fm + lm) // 2
+    if k < 0:  # F(-m) = (-1)^(m+1) F(m), L(-m) = (-1)^m L(m)
+        fm, lm = (fm, -lm) if odd else (-fm, lm)
     return fm, (fm + lm) // 2
-
-
-def _fib_at(k: int, one=1):
-    """(F(k), F(k+1)) for any integer k, from one fast-doubling pass."""
-    if k >= 0:
-        return _fib_pair(k, one)
-    fm, fm1 = _fib_pair(-k, one)
-    fm_1 = fm1 - fm  # F(m-1) for m = -k; F(-m) = (-1)^(m+1) F(m)
-    return (fm, -fm_1) if k & 1 else (-fm, fm_1)
 
 
 def fib(k: int) -> int:
     """The k-th Fibonacci number, any integer k; F(-k) = (-1)^(k+1) F(k)."""
-    return _fib_at(k)[0]
+    return _fib_pair(k)[0]
 
 
 def lucas(k: int) -> int:
@@ -85,8 +75,7 @@ def term(spec: SequenceSpec, k: int) -> int:
 
     Evaluates G(k) = G1*F(k) + G0*F(k-1) with one fast-doubling pass.
     """
-    fk, fk1 = _fib_at(k)
-    return spec.g1 * fk + spec.g0 * (fk1 - fk)
+    return window(spec, k, 1)[0]
 
 
 def window(spec: SequenceSpec, m: int, count: int) -> list:
@@ -96,7 +85,7 @@ def window(spec: SequenceSpec, m: int, count: int) -> list:
     The terms have the seeds' number type: int, or an integer-valued
     Decimal inside render.exact_context().
     """
-    fm, fm1 = _fib_at(m, type(spec.g1)(1))
+    fm, fm1 = _fib_pair(m, type(spec.g1)(1))
     terms = [spec.g1 * fm + spec.g0 * (fm1 - fm), spec.g1 * fm1 + spec.g0 * fm]
     while len(terms) < count:
         terms.append(terms[-1] + terms[-2])

@@ -116,8 +116,7 @@ def _textbook_triple_square(spec, m):
 
 def _kernels(spec, m):
     """The three end kernels at (spec, m), in the seeds' number type."""
-    e = characteristic_e(spec)
-    return _sixth_end(spec, m, e * e), _alt_end(spec, m, e), _triple_square(spec, m)
+    return _sixth_end(spec, m), _alt_end(spec, m), _triple_square(spec, m)
 
 
 def _textbook(spec, m):
@@ -163,7 +162,7 @@ class TestKernels:
         for seeds, zero in (((0, 1), 0), ((1, -1), 2), ((1, 1), -1)):
             spec = SequenceSpec(*seeds)
             for m in (zero - 1, zero):
-                assert _alt_end(spec, m, characteristic_e(spec)) == 0
+                assert _alt_end(spec, m) == 0
                 assert _triple_square(spec, m) == 0
             assert _kernels(spec, zero) == _textbook(spec, zero)
 
@@ -171,12 +170,12 @@ class TestKernels:
         # fib6 and lucas6 take F(2m) from the terms at m; alt specials take
         # D(n) for the printed product after (-1)^n / 2 and (-1)^n / 10
         for m in range(-60, 61):
-            assert _sixth_end(F, m, 1) == fib(m) ** 5 * fib(m + 3) + fib(2 * m)
-            assert _sixth_end(L, m, 25) == lucas(m) ** 5 * lucas(m + 3) + 125 * fib(2 * m)
+            assert _sixth_end(F, m) == fib(m) ** 5 * fib(m + 3) + fib(2 * m)
+            assert _sixth_end(L, m) == lucas(m) ** 5 * lucas(m + 3) + 125 * fib(2 * m)
             fm, fm1, fm3 = fib(m), fib(m + 1), fib(m + 3)
-            assert _alt_end(F, m, -1) == fm**2 * fm1**2 * (fm1**2 - fm * fm3)
+            assert _alt_end(F, m) == fm**2 * fm1**2 * (fm1**2 - fm * fm3)
             lm, lm1, lm3 = lucas(m), lucas(m + 1), lucas(m + 3)
-            assert _alt_end(L, m, 5) == lm**2 * lm1**2 * (lm1**2 - lm * lm3)
+            assert _alt_end(L, m) == lm**2 * lm1**2 * (lm1**2 - lm * lm3)
 
     def test_specials_at_large_n_equal_published_shapes(self):
         for n in (999, 1000, 5001):

@@ -83,27 +83,29 @@ class TestTerm:
 
 def _fib_pair_naive(k):
     a, b = 0, 1
-    for _ in range(k):
-        a, b = b, a + b
+    for _ in range(abs(k)):
+        a, b = (b, a + b) if k > 0 else (b - a, a)
     return a, b
 
 
 class TestFibPair:
-    # (F, L) doubling against single steps: every k up to 1000 walks each
+    # (F, L) doubling against single steps: every |k| up to 1000 walks each
     # bit pattern, both parities of m in the L(2m) step and every halving
 
     def test_matches_naive_up_to_1000(self):
-        a, b = 0, 1
+        up, down = (0, 1), (0, 1)
         for k in range(1001):
-            assert _fib_pair(k) == (a, b), k
-            a, b = b, a + b
+            assert _fib_pair(k) == up, k
+            assert _fib_pair(-k) == down, -k
+            up, down = (up[1], up[0] + up[1]), (down[1] - down[0], down[0])
 
     @settings(max_examples=20, deadline=None)
-    @given(k=st.integers(min_value=1001, max_value=10**5))
-    def test_matches_naive_at_large_k(self, k):
+    @given(k=st.integers(min_value=1001, max_value=10**5), negate=st.booleans())
+    def test_matches_naive_at_large_k(self, k, negate):
+        k = -k if negate else k
         assert _fib_pair(k) == _fib_pair_naive(k)
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 64, 1000, 2**17 - 1, 2**17, 98765])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, -1, -2, -77, 64, 1000, 2**17 - 1, 2**17, -98765])
     def test_decimal_equals_int(self, k):
         with exact_context():
             got = _fib_pair(k, Decimal(1))
