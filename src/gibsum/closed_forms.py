@@ -9,9 +9,9 @@ telescoping identities stay valid verbatim on the whole integer line.
 
 Each end of a sum is a polynomial in two consecutive terms a = G(m),
 b = G(m+1) from one window() pass. With G(m)^2 - G(m+1)^2 + G(m) G(m+1) =
-e_m = (-1)^m e, the printed shapes reduce to three or four balanced
-multiplications per end (_sixth_end, _alt_end, _triple_square), where as
-printed they take five to seven.
+e_m = (-1)^m e, each end takes three or four multiplications, one or two of
+them squares (_sixth_end, _alt_end, _triple_square); the sixth-power and
+alternating ends as printed take five and seven.
 
 Divisions are carried out exactly. Integer-valued forms assert
 divisibility and raise IntegralityError on violation; that error signals

@@ -127,7 +127,8 @@ def _textbook(spec, m):
     )
 
 
-# seeds of both signs, with and without a zero term, up to 10^30 in size
+# seeds of both signs, with a zero term ((0, 1), (1, 1), (1, -1)) and
+# without, up to 10^30 in size; m crosses the zero index on both sides
 KERNEL_SEEDS = GRID_SEEDS + ((1, -1), (-5, 8), (10**30, -(10**30) + 7), (-(10**30), 3))
 kernel_seed = st.integers(min_value=-(10**30), max_value=10**30)
 
@@ -156,15 +157,6 @@ class TestKernels:
                 got = _kernels(dec, m)
             assert all(isinstance(v, Decimal) for v in got)
             assert got == _textbook(spec, m), (seeds, m)
-
-    def test_zero_term_ends(self):
-        # x = G(m) G(m+1) = 0 on either side of a zero term
-        for seeds, zero in (((0, 1), 0), ((1, -1), 2), ((1, 1), -1)):
-            spec = SequenceSpec(*seeds)
-            for m in (zero - 1, zero):
-                assert _alt_end(spec, m) == 0
-                assert _triple_square(spec, m) == 0
-            assert _kernels(spec, zero) == _textbook(spec, zero)
 
     def test_special_ends_keep_the_published_shapes(self):
         # fib6 and lucas6 take F(2m) from the terms at m; alt specials take
