@@ -54,50 +54,3 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FIBONACCI",
-    "LUCAS",
-    "SequenceSpec",
-    "SummandKind",
-    "GridSpec",
-    "IdentityDescriptor",
-    "VerificationReport",
-    "POINT_IDENTITY_IDS",
-    "REGISTRY",
-    "TSV_COLUMNS",
-    "DomainError",
-    "IntegralityError",
-    "UnknownIdentityError",
-    "ZeroTermError",
-    "alt_sum_fifth_closed",
-    "characteristic_e",
-    "check_point_identities",
-    "check_telescoping",
-    "descriptor",
-    "effective_inputs",
-    "fib",
-    "fib_alt_f5l_closed",
-    "fib_sixth_closed",
-    "first_zero_in_window",
-    "identity_ids",
-    "lucas",
-    "lucas_alt_l5f_closed",
-    "lucas_sixth_closed",
-    "oracle_sum",
-    "oracle_term",
-    "recip_fib_special",
-    "recip_lucas_special",
-    "recip_sum_closed",
-    "reciprocal_window",
-    "render_value",
-    "sum_cubes_product_closed",
-    "sum_sixth_closed",
-    "sum_squares_closed",
-    "sweep",
-    "term",
-    "term_naive",
-    "treeby_f3_closed",
-    "treeby_l3_closed",
-    "verify_one",
-]
