@@ -28,41 +28,29 @@ class SummandKind(enum.Enum):
     RECIPROCAL_WINDOW = "recip"    # 1 / (G(j+t-1)^2 G(j+t) G(j+t+1) G(j+t+2)^2)
 
 
-# stored terms G(j+t+lo) .. G(j+t+hi); hi >= lo+1 so the window can slide
-_WINDOW_OFFSETS = {
-    SummandKind.SIXTH_POWER: (0, 1),
-    SummandKind.SQUARE: (0, 1),
-    SummandKind.ALT_FIFTH_NEIGHBOR: (-1, 1),
-    SummandKind.CUBE_PRODUCT: (0, 1),
-    SummandKind.RECIPROCAL_WINDOW: (-1, 2),
+# per family: the stored terms G(j+t+lo) .. G(j+t+hi), hi >= lo+1 so the
+# window can slide, and the j-th summand from that window
+_SUMMANDS = {
+    SummandKind.SIXTH_POWER: (0, 1, lambda w, j: w[0] ** 6),
+    SummandKind.SQUARE: (0, 1, lambda w, j: w[0] ** 2),
+    SummandKind.ALT_FIFTH_NEIGHBOR: (
+        -1, 1, lambda w, j: (1 if j % 2 else -1) * w[1] ** 5 * (w[2] + w[0])  # (-1)^(j-1)
+    ),
+    SummandKind.CUBE_PRODUCT: (0, 1, lambda w, j: w[0] ** 3 * w[1] ** 3),
+    SummandKind.RECIPROCAL_WINDOW: (
+        -1, 2, lambda w, j: Fraction(1, w[0] ** 2 * w[1] * w[2] * w[3] ** 2)
+    ),
 }
-
-
-def _summand(kind: SummandKind, window: list[int], j: int):
-    """The j-th summand from window = [G(j+t+lo), ..., G(j+t+hi)]."""
-    if kind is SummandKind.SIXTH_POWER:
-        return window[0] ** 6
-    if kind is SummandKind.SQUARE:
-        return window[0] ** 2
-    if kind is SummandKind.ALT_FIFTH_NEIGHBOR:
-        sign = 1 if j % 2 else -1  # (-1)^(j-1)
-        return sign * window[1] ** 5 * (window[2] + window[0])
-    if kind is SummandKind.CUBE_PRODUCT:
-        return window[0] ** 3 * window[1] ** 3
-    if kind is SummandKind.RECIPROCAL_WINDOW:
-        den = window[0] ** 2 * window[1] * window[2] * window[3] ** 2
-        return Fraction(1, den)
-    raise TypeError(f"unknown summand kind: {kind!r}")
 
 
 def oracle_term(kind: SummandKind, spec: SequenceSpec, t: int, j: int) -> Fraction:
     """The j-th summand of the given family, as an exact rational."""
     m = j + t
-    lo, hi = _WINDOW_OFFSETS[kind]
+    lo, hi, summand = _SUMMANDS[kind]
     terms = window(spec, m + lo, hi - lo + 1)
     if kind is SummandKind.RECIPROCAL_WINDOW and 0 in terms:
         raise ZeroTermError(m + lo + terms.index(0), spec.seeds)
-    return Fraction(_summand(kind, terms, j))
+    return Fraction(summand(terms, j))
 
 
 def oracle_walk(
@@ -75,7 +63,7 @@ def oracle_walk(
     One walk up from j = 1 covers n >= 0, one walk down from j = 0 covers
     n < 0 by S(n-1) = S(n) - summand(n): O(|n_lo| + |n_hi|) summands.
     """
-    off_lo, off_hi = _WINDOW_OFFSETS[kind]
+    off_lo, off_hi, summand = _SUMMANDS[kind]
     recip = kind is SummandKind.RECIPROCAL_WINDOW
     up, down = [], []
     if n_hi >= 0:
@@ -89,7 +77,7 @@ def oracle_walk(
             if recip and zero is None and terms[-1] == 0:
                 zero = j + t + off_hi
             if zero is None:
-                total += _summand(kind, terms, j)
+                total += summand(terms, j)
             if j >= n_lo:
                 up.append(Fraction(total) if zero is None else zero)
             terms.append(terms[-1] + terms[-2])
@@ -103,7 +91,7 @@ def oracle_walk(
             if recip and terms[0] == 0:
                 zero = j + t + off_lo
             if zero is None:
-                total -= _summand(kind, terms, j)
+                total -= summand(terms, j)
             if j - 1 <= n_hi:
                 down.append(Fraction(total) if zero is None else zero)
             terms.insert(0, terms[1] - terms[0])
