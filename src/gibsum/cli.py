@@ -265,16 +265,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the point eval and bench evaluate at, read by _point_inputs
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("identity")
+    point.add_argument("--g0", type=int, default=None, help="seed G(0), default 0")
+    point.add_argument("--g1", type=int, default=None, help="seed G(1), default 1")
+    point.add_argument("--t", type=int, default=None, help="index shift, default 0")
+    point.add_argument("--n", type=int, required=True, help="summation length")
+
     p_list = sub.add_parser("list", help="catalog of registered identities")
     p_list.add_argument("--format", choices=("json", "tsv"), default="json")
     p_list.set_defaults(func=_cmd_list)
 
-    p_eval = sub.add_parser("eval", help="evaluate one identity at one point")
-    p_eval.add_argument("identity")
-    p_eval.add_argument("--g0", type=int, default=None, help="seed G(0), default 0")
-    p_eval.add_argument("--g1", type=int, default=None, help="seed G(1), default 1")
-    p_eval.add_argument("--t", type=int, default=None, help="index shift, default 0")
-    p_eval.add_argument("--n", type=int, required=True, help="summation length")
+    p_eval = sub.add_parser("eval", parents=[point], help="evaluate one identity at one point")
     p_eval.add_argument("--method", choices=("closed", "oracle", "both"), default="closed")
     p_eval.add_argument("--format", choices=("json", "tsv"), default="json")
     p_eval.set_defaults(func=_cmd_eval)
@@ -291,12 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "tsv"), default="json")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time closed form vs oracle")
-    p_bench.add_argument("identity")
-    p_bench.add_argument("--g0", type=int, default=None)
-    p_bench.add_argument("--g1", type=int, default=None)
-    p_bench.add_argument("--t", type=int, default=None)
-    p_bench.add_argument("--n", type=int, required=True)
+    p_bench = sub.add_parser("bench", parents=[point], help="time closed form vs oracle")
     p_bench.add_argument("--repeat", type=int, default=5, help="timing runs per side")
     p_bench.add_argument("--force-oracle", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)
