@@ -126,10 +126,10 @@ def fib_sixth_closed(t: int, n: int) -> int:
 
     Uses F(2k) directly instead of the e^2 term:
     [F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4.
-    Each end is _sixth_end, as e^2 = 1 and F(2k) = F(k)(F(k+1) + F(k-1)).
+    This is sum_sixth_closed at Fibonacci seeds, as e^2 = 1 and
+    F(2k) = F(k)(F(k+1) + F(k-1)).
     """
-    num = _sixth_end(FIBONACCI, n + t) - _sixth_end(FIBONACCI, t)
-    return _exact_quarter(num, "fib_sixth_closed")
+    return _sum_sixth(FIBONACCI, t, n)
 
 
 def lucas_sixth_closed(t: int, n: int) -> int:
@@ -137,10 +137,10 @@ def lucas_sixth_closed(t: int, n: int) -> int:
 
     [L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4;
     at t = 0 this collapses to (L(n)^5 L(n+3) + 125 F(2n)) / 4 - 32.
-    Each end is _sixth_end, as e^2 = 25 and 5 F(2k) = L(k)(L(k+1) + L(k-1)).
+    This is sum_sixth_closed at Lucas seeds, as e^2 = 25 and
+    5 F(2k) = L(k)(L(k+1) + L(k-1)).
     """
-    num = _sixth_end(LUCAS, n + t) - _sixth_end(LUCAS, t)
-    return _exact_quarter(num, "lucas_sixth_closed")
+    return _sum_sixth(LUCAS, t, n)
 
 
 def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
