@@ -193,7 +193,7 @@ def _cmd_eval(args) -> int:
     if args.format == "tsv":
         report = VerificationReport(
             desc.id, spec.g0, spec.g1, t, n,
-            closed=closed_text, oracle=oracle_text, match=bool(match),
+            closed=closed_text, oracle=oracle_text, match=match,
         )
         print("\t".join(TSV_COLUMNS))
         print(report.as_tsv_row())

@@ -45,7 +45,7 @@ class VerificationReport:
     n: int
     closed: Optional[str]
     oracle: Optional[str]
-    match: bool
+    match: Optional[bool]  # None when nothing was compared
     error: Optional[str] = None
 
     def as_dict(self) -> dict:
@@ -72,7 +72,7 @@ class VerificationReport:
             str(self.n),
             self.closed or "",
             self.oracle or "",
-            "true" if self.match else "false",
+            "" if self.match is None else "true" if self.match else "false",
             self.error or "",
         )
         return "\t".join(cells)

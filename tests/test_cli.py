@@ -165,6 +165,14 @@ class TestEval:
         assert lines[0].startswith("identity\t")
         assert lines[1] == "sum_g2\t0\t1\t0\t3\t6\t6\ttrue\t"
 
+    @pytest.mark.parametrize("method, row", [
+        ("closed", "sum_g2\t0\t1\t0\t3\t6\t\t\t"),
+        ("oracle", "sum_g2\t0\t1\t0\t3\t\t6\t\t"),
+    ], ids=("closed", "oracle"))
+    def test_tsv_match_cell_empty_without_comparison(self, capsys, method, row):
+        assert main(["eval", "sum_g2", "--n", "3", "--method", method, "--format", "tsv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == row
+
     def test_seed_over_default_digit_cap(self, capsys):
         # main() lifts CPython's 4300-digit int/str cap while it runs, then restores it
         big = 10**5000 - 1
@@ -300,6 +308,13 @@ class TestBench:
         payload = json.loads(captured.out)
         assert (payload["g0"], payload["g1"]) == ("0", "1")
         assert payload["closed_value"]["leading"] == "225" and payload["match"] is True
+
+    def test_point_flags_on_seed_free_identity(self, capsys):
+        code = main(["bench", "sum_g6", "--g0=3", "--g1=-4", "--t=-2", "--n=25", "--repeat=1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["g0"], payload["g1"], payload["t"], payload["n"]) == ("3", "-4", -2, 25)
+        assert payload["match"] is True
 
     def test_n_zero_usage_error(self, capsys):
         assert main(["bench", "sum_g6", "--n", "0"]) == 2
