@@ -59,10 +59,11 @@ CASES = [
     ["eval", "sum_g2", "--g0=2", "--g1=1", "--n=7", "--method=oracle"],
     ["eval", "alt_g5", "--g0=2", "--g1=1", "--t=1", "--n=-9", "--method=oracle", "--format=tsv"],
     ["eval", "recip_lucas", "--n=7", "--method=oracle", "--format=tsv"],
+    ["eval", "recip", "--g0=3", "--g1=-2", "--n=-9", "--method=oracle"],
     # zero-term refusals
     ["eval", "recip", "--n=5"],
     ["eval", "recip", "--g0=3", "--g1=-2", "--t=-1", "--n=7", "--method=both", "--format=tsv"],
-    ["eval", "recip", "--g0=3", "--g1=-2", "--n=-9", "--method=oracle"],
+    ["eval", "recip", "--g0=3", "--g1=-2", "--t=2", "--n=-9", "--method=oracle"],
     # flags the identity fixes: a warning, then the fixed value
     ["eval", "fib6", "--g0=5", "--g1=2", "--n=7"],
     ["eval", "treeby_f3", "--t=2", "--n=3", "--format=tsv"],
