@@ -40,6 +40,20 @@ def _eval_cases():
     return cases
 
 
+SPECIALS = ("fib_alt_f5l", "lucas_alt_l5f", "treeby_f3", "treeby_l3", "recip_fib", "recip_lucas")
+
+
+def _special_cases():
+    """The alternating, cube-product and reciprocal specials past their small values."""
+    return [
+        ["eval", identity, f"--n={15 if identity.startswith('recip') else 40}",
+         f"--method={method}", f"--format={fmt}"]
+        for identity in SPECIALS
+        for method in ("closed", "both")
+        for fmt in ("json", "tsv")
+    ]
+
+
 GRID = ["--seeds=0,1;3,-2", "--t=-1..0", "--n=-3..2"]  # (0, 1) and (3, -2) hold a zero term
 
 CASES = [
@@ -55,6 +69,11 @@ CASES = [
     ["eval", "sum_g6", "--g0=2", "--g1=1", "--t=5", "--n=3000", "--method=both"],
     ["eval", "sum_g3g3", "--g0=2", "--g1=1", "--t=-40", "--n=9", "--method=both", "--format=tsv"],
     ["eval", "lucas6", "--t=-5", "--n=-9", "--method=both"],
+    # values over render.STR_CUTOFF_BITS, compared as text
+    ["eval", "sum_g2", "--g0=2", "--g1=1", "--t=3", "--n=9000", "--method=both"],
+    ["eval", "alt_g5", "--g0=3", "--g1=-4", "--t=-7", "--n=3000", "--method=both"],
+    ["eval", "sum_g3g3", "--g0=-2", "--g1=5", "--t=4", "--n=3001", "--method=both", "--format=tsv"],
+    *_special_cases(),
     # --method oracle compares nothing
     ["eval", "sum_g2", "--g0=2", "--g1=1", "--n=7", "--method=oracle"],
     ["eval", "alt_g5", "--g0=2", "--g1=1", "--t=1", "--n=-9", "--method=oracle", "--format=tsv"],
