@@ -17,12 +17,13 @@ Divisions are carried out exactly. Integer-valued forms assert
 divisibility and raise IntegralityError on violation; that error signals
 a bug in this module, never bad input.
 
-The four seed-free integer forms keep their body in a private function
-written over any exact number type (only + - * ** and a remainder check),
-which the public function calls with int seeds. `gibsum eval` runs the
-same body on Decimal seeds inside render.exact_context(), so a large
-value is computed by libmpdec and printed without an int-to-text
-conversion; the public functions still return int (or Fraction).
+Each general form's body is a private function that the public function
+and the Fibonacci/Lucas specials (at fixed seeds and shift) call, so no
+public function calls another. The four seed-free integer bodies take any
+exact number type (only + - * ** and a remainder check): `gibsum eval`
+runs them on Decimal seeds inside render.exact_context(), so a large value
+is computed by libmpdec and printed without an int-to-text conversion; the
+public functions still return int (or Fraction).
 """
 
 from __future__ import annotations
@@ -41,27 +42,14 @@ from .sequences import (
 )
 
 
-def _exact_quarter(num, op: str):
-    # the remainder is the check: a Decimal num / 4 is exact (x.25) and
-    # raises no Inexact, and on a Decimal divmod truncates toward zero
-    q, r = divmod(num, 4)
+def _exact_div(num, d: int, op: str):
+    # the remainder is the check: a Decimal num / d is exact for d in {2, 4, 5}
+    # and raises no Inexact, and on a Decimal divmod truncates toward zero
+    q, r = divmod(num, d)
     if r:
         # keep the huge numerator out of the message; the remainder suffices
-        raise IntegralityError(f"{op}: numerator not divisible by 4 (remainder {r})")
+        raise IntegralityError(f"{op}: numerator not divisible by {d} (remainder {r})")
     return q
-
-
-def _exact_half(num, op: str):
-    q, r = divmod(num, 2)
-    if r:
-        raise IntegralityError(f"{op}: result has denominator 2, expected 1")
-    return q
-
-
-def _require_integral(value: Fraction, op: str) -> Fraction:
-    if value.denominator != 1:
-        raise IntegralityError(f"{op}: result has denominator {value.denominator}, expected 1")
-    return value
 
 
 def _triple_square(spec: SequenceSpec, m: int):
@@ -118,7 +106,7 @@ def sum_sixth_closed(spec: SequenceSpec, t: int, n: int) -> int:
 
 def _sum_sixth(spec: SequenceSpec, t: int, n: int):
     num = _sixth_end(spec, n + t) - _sixth_end(spec, t)
-    return _exact_quarter(num, "sum_sixth_closed")
+    return _exact_div(num, 4, "sum_sixth_closed")
 
 
 def fib_sixth_closed(t: int, n: int) -> int:
@@ -157,7 +145,7 @@ def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
 def _alt_sum_fifth(spec: SequenceSpec, t: int, n: int):
     sign = -1 if n % 2 else 1  # (-1)^n
     num = sign * _alt_end(spec, n + t) - _alt_end(spec, t)
-    return _exact_half(num, "alt_sum_fifth_closed")
+    return _exact_div(num, 2, "alt_sum_fifth_closed")
 
 
 def fib_alt_f5l_closed(n: int) -> Fraction:
@@ -166,12 +154,11 @@ def fib_alt_f5l_closed(n: int) -> Fraction:
     Published closed form with the leading sign corrected to (-1)^n:
     (-1)^n / 2 * F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3)). The printed
     (-1)^(n+1) version contradicts the brute-force sum already at n = 1.
-    The product after (-1)^n / 2 is D(n) of _alt_end.
+    This is alt_sum_fifth_closed at Fibonacci seeds and shift 0: D(0) = 0.
     """
     if n < 0:
         raise DomainError(f"fib_alt_f5l_closed requires n >= 0, got {n}")
-    sign = -1 if n % 2 else 1
-    return Fraction(_exact_half(sign * _alt_end(FIBONACCI, n), "fib_alt_f5l_closed"))
+    return Fraction(_alt_sum_fifth(FIBONACCI, 0, n))
 
 
 def lucas_alt_l5f_closed(n: int) -> Fraction:
@@ -179,15 +166,13 @@ def lucas_alt_l5f_closed(n: int) -> Fraction:
 
     Sign-corrected closed form
     (-1)^n / 10 * L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5.
-    At n = 0 the two parts cancel to 0, matching the empty sum, so the
-    formula is valid for every n >= 0. The product after (-1)^n / 10 is
-    D(n) of _alt_end.
+    This is alt_sum_fifth_closed at Lucas seeds and shift 0 over 5, as
+    L(j+1) + L(j-1) = 5 F(j), and 14/5 = 28/10 with 28 = -D(0). At n = 0
+    the two parts cancel to 0, matching the empty sum.
     """
     if n < 0:
         raise DomainError(f"lucas_alt_l5f_closed requires n >= 0, got {n}")
-    sign = -1 if n % 2 else 1
-    value = Fraction(sign * _alt_end(LUCAS, n) + 28, 10)
-    return _require_integral(value, "lucas_alt_l5f_closed")
+    return Fraction(_exact_div(_alt_sum_fifth(LUCAS, 0, n), 5, "lucas_alt_l5f_closed"))
 
 
 def sum_cubes_product_closed(spec: SequenceSpec, t: int, n: int) -> int:
@@ -197,7 +182,7 @@ def sum_cubes_product_closed(spec: SequenceSpec, t: int, n: int) -> int:
 
 def _sum_cubes_product(spec: SequenceSpec, t: int, n: int):
     num = _triple_square(spec, n + t) - _triple_square(spec, t)
-    return _exact_quarter(num, "sum_cubes_product_closed")
+    return _exact_div(num, 4, "sum_cubes_product_closed")
 
 
 def recip_sum_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
@@ -212,42 +197,48 @@ def recip_sum_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     zero = first_zero_in_window(spec, lo, hi)
     if zero is not None:
         raise ZeroTermError(zero, spec.seeds)
-    return Fraction(1, 4) * (
-        Fraction(1, _triple_square(spec, t)) - Fraction(1, _triple_square(spec, n + t))
-    )
+    return _recip_sum(spec, t, n)
+
+
+def _recip_sum(spec: SequenceSpec, t: int, n: int) -> Fraction:
+    lo, hi = _triple_square(spec, t), _triple_square(spec, n + t)
+    return (Fraction(1, lo) - Fraction(1, hi)) / 4
 
 
 def treeby_f3_closed(n: int) -> int:
     """Sum of F(j)^3 F(j+1)^3 for j in 1..n: F(n)^2 F(n+1)^2 F(n+2)^2 / 4."""
     if n < 0:
         raise DomainError(f"treeby_f3_closed requires n >= 0, got {n}")
-    return _exact_quarter(_triple_square(FIBONACCI, n), "treeby_f3_closed")
+    return _sum_cubes_product(FIBONACCI, 0, n)
 
 
 def treeby_l3_closed(n: int) -> int:
-    """Sum of L(j)^3 L(j+1)^3 for j in 1..n: L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9."""
+    """Sum of L(j)^3 L(j+1)^3 for j in 1..n: L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9.
+
+    This is sum_cubes_product_closed at Lucas seeds and shift 0: 9 = P(0) / 4.
+    """
     if n < 0:
         raise DomainError(f"treeby_l3_closed requires n >= 0, got {n}")
-    return _exact_quarter(_triple_square(LUCAS, n), "treeby_l3_closed") - 9
+    return _sum_cubes_product(LUCAS, 0, n)
 
 
 def recip_fib_special(n: int) -> Fraction:
     """Sum of 1 / (F(j)^2 F(j+1) F(j+2) F(j+3)^2) for j in 1..n.
 
-    (1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4; the inner 1/4 is
-    1/(F(1) F(2) F(3))^2, anchoring the general form at shift 1.
+    (1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4: recip_sum_closed at Fibonacci
+    seeds and shift 1, where 1/4 = 1/P(1) = 1/(F(1) F(2) F(3))^2.
     """
     if n < 1:
         raise DomainError(f"recip_fib_special requires n >= 1, got {n}")
-    return Fraction(1, 4) * (Fraction(1, 4) - Fraction(1, _triple_square(FIBONACCI, n + 1)))
+    return _recip_sum(FIBONACCI, 1, n)
 
 
 def recip_lucas_special(n: int) -> Fraction:
     """Sum of 1 / (L(j)^2 L(j+1) L(j+2) L(j+3)^2) for j in 1..n.
 
-    (1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4; the inner 1/144 is
-    1/(L(1) L(2) L(3))^2, anchoring the general form at shift 1.
+    (1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4: recip_sum_closed at Lucas
+    seeds and shift 1, where 1/144 = 1/P(1) = 1/(L(1) L(2) L(3))^2.
     """
     if n < 1:
         raise DomainError(f"recip_lucas_special requires n >= 1, got {n}")
-    return Fraction(1, 4) * (Fraction(1, 144) - Fraction(1, _triple_square(LUCAS, n + 1)))
+    return _recip_sum(LUCAS, 1, n)

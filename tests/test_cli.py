@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, flag handling."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -208,12 +209,26 @@ class TestEval:
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         broken = dataclasses.replace(
-            verifier.descriptor("sum_g2"), evaluate=lambda spec, t, n: 999
+            verifier.descriptor("sum_g2"), generic=lambda spec, t, n: 999
         )
         monkeypatch.setitem(verifier._BY_ID, "sum_g2", broken)
         code = main(["eval", "sum_g2", "--n", "3", "--method", "both"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["match"] is False
+
+    def test_both_compares_the_printed_text(self, capsys, monkeypatch):
+        # only the decimal body is broken, so only a comparison of the text
+        # --method closed prints can see it
+        broken = dataclasses.replace(
+            verifier.descriptor("sum_g2"), generic=lambda spec, t, n: 999
+        )
+        monkeypatch.setitem(verifier._BY_ID, "sum_g2", broken)
+        assert main(["eval", "sum_g2", "--n=3"]) == 0
+        printed = json.loads(capsys.readouterr().out)["closed"]
+        assert printed == "999"
+        assert main(["eval", "sum_g2", "--n=3", "--method=both", "--format=tsv"]) == 1
+        row = capsys.readouterr().out.splitlines()[1].split("\t")
+        assert row[5:8] == [printed, "6", "false"]
 
 
 class TestVerify:
@@ -337,6 +352,19 @@ class TestBench:
         assert _digest(value)["digits"] == digits
 
 
+SEED_FREE_IDS = ("sum_g6", "sum_g2", "alt_g5", "sum_g3g3", "recip")
+SPECIAL_IDS = ("fib_alt_f5l", "lucas_alt_l5f", "treeby_f3", "treeby_l3", "recip_fib", "recip_lucas")
+
+
+def _perfbench_tracer():
+    """perfbench/tracer.py, loaded without putting perfbench on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         # the child imports the same gibsum as this process, also when only
@@ -352,25 +380,32 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["match"] is True
 
-    @pytest.mark.parametrize("identity", ["sum_g6", "sum_g2", "alt_g5", "sum_g3g3", "recip"])
-    def test_traced_child_prints_the_same(self, tmp_path, identity):
+    @pytest.mark.parametrize("method", ["closed", "both"])
+    @pytest.mark.parametrize("identity", [*SEED_FREE_IDS, *SPECIAL_IDS])
+    def test_traced_child_prints_the_same(self, tmp_path, capsys, identity, method):
         # perfbench's tracer wraps the public closed forms and reads
         # int/Fraction results; eval must run unchanged under it
         root = Path(__file__).resolve().parents[1]
         src = str(Path(gibsum.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, str(root / "perfbench")))}
-        argv = ["eval", identity, "--g0=3", "--g1=-4", "--t=2", "--n=5000"]
+        n = 5000 if method == "closed" else 500  # the recip oracle is slow at 5000
+        point = ["--g0=3", "--g1=-4", "--t=2"] if identity in SEED_FREE_IDS else []
+        argv = ["eval", identity, *point, f"--n={n}", f"--method={method}"]
         spans = tmp_path / "spans.json"
         traced = subprocess.run(
             [sys.executable, str(root / "perfbench" / "cli_child.py"), str(spans), *argv],
             capture_output=True, text=True, env=env,
         )
-        plain = subprocess.run(
-            [sys.executable, "-m", "gibsum", *argv], capture_output=True, text=True, env=env
-        )
         assert traced.returncode == 0, traced.stderr
-        assert spans.stat().st_size > 0
-        assert traced.stdout == plain.stdout
+        assert main(argv) == 0
+        assert traced.stdout == capsys.readouterr().out
+        if identity in SPECIAL_IDS:
+            # the tracer wraps every public closed form, so a special that
+            # called another public form would record two spans
+            calls = _perfbench_tracer().summarize(json.loads(spans.read_text()))
+            assert calls["closed_forms.calls"] == 1
+        else:
+            assert spans.stat().st_size > 0
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

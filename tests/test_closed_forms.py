@@ -28,9 +28,7 @@ from gibsum import (
 )
 from gibsum.closed_forms import (
     _alt_end,
-    _exact_half,
-    _exact_quarter,
-    _require_integral,
+    _exact_div,
     _sixth_end,
     _triple_square,
 )
@@ -159,8 +157,8 @@ class TestKernels:
             assert got == _textbook(spec, m), (seeds, m)
 
     def test_special_ends_keep_the_published_shapes(self):
-        # fib6 and lucas6 take F(2m) from the terms at m; alt specials take
-        # D(n) for the printed product after (-1)^n / 2 and (-1)^n / 10
+        # fib6 and lucas6 take F(2m) from the terms at m; the alt specials'
+        # printed product after (-1)^n / 2 and (-1)^n / 10 is D(n)
         for m in range(-60, 61):
             assert _sixth_end(F, m) == fib(m) ** 5 * fib(m + 3) + fib(2 * m)
             assert _sixth_end(L, m) == lucas(m) ** 5 * lucas(m + 3) + 125 * fib(2 * m)
@@ -197,17 +195,17 @@ class TestSpecializationCoherence:
                 assert lucas_sixth_closed(t, n) == sum_sixth_closed(L, t, n)
 
     def test_alt_specials_equal_general(self):
-        for n in range(0, 31):
+        for n in range(0, 61):
             assert fib_alt_f5l_closed(n) == alt_sum_fifth_closed(F, 0, n)
             assert lucas_alt_l5f_closed(n) == alt_sum_fifth_closed(L, 0, n) / 5
 
     def test_treeby_specials_equal_general(self):
-        for n in range(0, 31):
+        for n in range(0, 61):
             assert treeby_f3_closed(n) == sum_cubes_product_closed(F, 0, n)
             assert treeby_l3_closed(n) == sum_cubes_product_closed(L, 0, n)
 
     def test_recip_specials_equal_general_at_shift_one(self):
-        for n in range(1, 31):
+        for n in range(1, 61):
             assert recip_fib_special(n) == recip_sum_closed(F, 1, n)
             assert recip_lucas_special(n) == recip_sum_closed(L, 1, n)
 
@@ -273,32 +271,27 @@ class TestDomains:
 
 class TestIntegralityGuards:
     def test_exact_quarter_accepts_multiples(self):
-        assert _exact_quarter(-8, "op") == -2
+        assert _exact_div(-8, 4, "op") == -2
 
     def test_exact_quarter_rejects_others(self):
         with pytest.raises(IntegralityError) as exc:
-            _exact_quarter(10, "someop")
+            _exact_div(10, 4, "someop")
         assert "someop" in str(exc.value)
 
     @pytest.mark.parametrize("number", [int, Decimal])
     def test_exact_divisions_check_the_remainder(self, number):
-        # a Decimal halves or quarters exactly (x.5, x.25) without Inexact,
-        # so only the remainder tells an integer result
+        # a Decimal halves, quarters or fifths exactly (x.5, x.25, x.2)
+        # without Inexact, so only the remainder tells an integer result
         with exact_context():
-            assert _exact_quarter(number(-8), "op") == -2
-            assert _exact_half(number(-6), "op") == -3
-            for num in (10, -7, 3):
-                with pytest.raises(IntegralityError, match="someop: numerator not divisible by 4"):
-                    _exact_quarter(number(num), "someop")
-            for num in (7, -7):
-                with pytest.raises(IntegralityError) as exc:
-                    _exact_half(number(num), "someop")
-                assert str(exc.value) == "someop: result has denominator 2, expected 1"
-
-    def test_require_integral(self):
-        assert _require_integral(Fraction(4, 2), "op") == 2
-        with pytest.raises(IntegralityError):
-            _require_integral(Fraction(1, 2), "op")
+            assert _exact_div(number(-8), 4, "op") == -2
+            assert _exact_div(number(-6), 2, "op") == -3
+            assert _exact_div(number(-15), 5, "op") == -3
+            for d, nums in ((2, (7, -7)), (4, (10, -7, 3)), (5, (7, -7, 12))):
+                for num in nums:
+                    with pytest.raises(IntegralityError) as exc:
+                        _exact_div(number(num), d, "someop")
+                    r = divmod(number(num), d)[1]
+                    assert str(exc.value) == f"someop: numerator not divisible by {d} (remainder {r})"
 
     @pytest.mark.parametrize("seeds", GRID_SEEDS)
     def test_integer_forms_stay_integral(self, seeds):
