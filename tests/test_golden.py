@@ -73,6 +73,12 @@ CASES = [
     ["eval", "sum_g2", "--g0=2", "--g1=1", "--t=3", "--n=9000", "--method=both"],
     ["eval", "alt_g5", "--g0=3", "--g1=-4", "--t=-7", "--n=3000", "--method=both"],
     ["eval", "sum_g3g3", "--g0=-2", "--g1=5", "--t=4", "--n=3001", "--method=both", "--format=tsv"],
+    ["eval", "fib6", "--n=3000", "--format=tsv"],
+    ["eval", "lucas6", "--t=-1", "--n=3000", "--method=both"],
+    ["eval", "fib_alt_f5l", "--n=3000", "--method=both", "--format=tsv"],
+    ["eval", "lucas_alt_l5f", "--n=3000"],
+    ["eval", "treeby_f3", "--n=3000", "--method=both"],
+    ["eval", "treeby_l3", "--n=3000", "--format=tsv"],
     *_special_cases(),
     # --method oracle compares nothing
     ["eval", "sum_g2", "--g0=2", "--g1=1", "--n=7", "--method=oracle"],
