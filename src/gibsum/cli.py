@@ -206,7 +206,9 @@ def _cmd_eval(args) -> int:
             "oracle": oracle_text,
             "match": match,
         }
-        print(json.dumps(payload, indent=2))
+        # streamed: a large value is not copied into one JSON string first
+        json.dump(payload, sys.stdout, indent=2)
+        print()
     return 1 if match is False else 0
 
 

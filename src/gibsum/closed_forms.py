@@ -7,23 +7,20 @@ for n < 0, S(n) = -(sum_{j=n+1}^{0} term_j). That is the unique reading
 under which S(n) - S(n-1) = term_n holds at every integer n, so the
 telescoping identities stay valid verbatim on the whole integer line.
 
-Each end of a sum is a polynomial in two consecutive terms a = G(m),
-b = G(m+1) from one window() pass. With G(m)^2 - G(m+1)^2 + G(m) G(m+1) =
-e_m = (-1)^m e, each end takes three or four multiplications, one or two of
-them squares (_sixth_end, _alt_end, _triple_square); the sixth-power and
-alternating ends as printed take five and seven.
+Each integer sum is one row (E, d, alternating, op name) of one table,
+S(n) = (sigma(n) E(n+t) - E(t)) / d, sigma(n) = (-1)^n if alternating, else 1:
 
-Divisions are carried out exactly. Integer-valued forms assert
-divisibility and raise IntegralityError on violation; that error signals
-a bug in this module, never bad input.
+    _SQUARES        G(j+t)^2                                    _square_end     1
+    _SIXTH          G(j+t)^6                                    _sixth_end      4
+    _ALT_FIFTH      (-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1))   _alt_end        2
+    _CUBES_PRODUCT  G(j+t)^3 G(j+t+1)^3                         _triple_square  4
 
-Each general form's body is a private function that the public function
-and the Fibonacci/Lucas specials (at fixed seeds and shift) call, so no
-public function calls another. The four seed-free integer bodies take any
-exact number type (only + - * ** and a remainder check): `gibsum eval`
-runs them on Decimal seeds inside render.exact_context(), so a large value
-is computed by libmpdec and printed without an int-to-text conversion; the
-public functions still return int (or Fraction).
+_telescope evaluates any row over any exact number type; `gibsum eval` runs
+it on Decimal seeds in render.exact_context(), so a large value prints
+without an int-to-text conversion. The reciprocal sum (1/P(t) - 1/P(n+t)) / 4,
+P = _triple_square, has a rational end and its own body. Public functions
+call only these two bodies (the specials at fixed seeds and shift) and
+return int or Fraction; every division is checked to be exact.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from .sequences import (
 
 
 def _exact_div(num, d: int, op: str):
-    # the remainder is the check: a Decimal num / d is exact for d in {2, 4, 5}
+    # the remainder is the check: a Decimal num / d is exact for d in {1, 2, 4, 5}
     # and raises no Inexact, and on a Decimal divmod truncates toward zero
     q, r = divmod(num, d)
     if r:
@@ -52,26 +49,15 @@ def _exact_div(num, d: int, op: str):
     return q
 
 
-def _triple_square(spec: SequenceSpec, m: int):
-    """P(m) = (G(m) G(m+1) G(m+2))^2, the window product several forms anchor on.
-
-    Evaluated as (b (b^2 + e_m))^2, b = G(m+1), as G(m) G(m+2) = b^2 + e_m.
-    """
-    (b,) = window(spec, m + 1, 1)
-    e = characteristic_e(spec)
-    p = b * (b * b + (-e if m % 2 else e))
-    return p * p
+def _require_n(n: int, least: int, op: str) -> None:
+    if n < least:
+        raise DomainError(f"{op} requires n >= {least}, got {n}")
 
 
-def sum_squares_closed(spec: SequenceSpec, t: int, n: int) -> int:
-    """Sum of G(j+t)^2 for j in 1..n: G(n+t)G(n+t+1) - G(t)G(t+1)."""
-    return _sum_squares(spec, t, n)
-
-
-def _sum_squares(spec: SequenceSpec, t: int, n: int):
-    hi0, hi1 = window(spec, n + t, 2)
-    lo0, lo1 = window(spec, t, 2)
-    return hi0 * hi1 - lo0 * lo1
+def _square_end(spec: SequenceSpec, m: int):
+    """G(m) G(m+1), one end of a sum of squares."""
+    a, b = window(spec, m, 2)
+    return a * b
 
 
 def _sixth_end(spec: SequenceSpec, m: int):
@@ -94,6 +80,37 @@ def _alt_end(spec: SequenceSpec, m: int):
     return -(x * x) * (x + (-e if m % 2 else e))
 
 
+def _triple_square(spec: SequenceSpec, m: int):
+    """P(m) = (G(m) G(m+1) G(m+2))^2, the window product several forms anchor on.
+
+    Evaluated as (b (b^2 + e_m))^2, b = G(m+1), as G(m) G(m+2) = b^2 + e_m.
+    """
+    (b,) = window(spec, m + 1, 1)
+    e = characteristic_e(spec)
+    p = b * (b * b + (-e if m % 2 else e))
+    return p * p
+
+
+_SQUARES = (_square_end, 1, False, "sum_squares_closed")
+_SIXTH = (_sixth_end, 4, False, "sum_sixth_closed")
+_ALT_FIFTH = (_alt_end, 2, True, "alt_sum_fifth_closed")
+_CUBES_PRODUCT = (_triple_square, 4, False, "sum_cubes_product_closed")
+
+
+def _telescope(row: tuple, spec: SequenceSpec, t: int, n: int):
+    """(sigma(n) E(n+t) - E(t)) / d for one row, over the seeds' number type."""
+    end, d, alternating, op = row
+    # the high end stays unnamed and unscaled: the division holds two full-size values, not three
+    if alternating and n % 2:  # sigma(n) = -1
+        return _exact_div(-end(spec, n + t) - end(spec, t), d, op)
+    return _exact_div(end(spec, n + t) - end(spec, t), d, op)
+
+
+def sum_squares_closed(spec: SequenceSpec, t: int, n: int) -> int:
+    """Sum of G(j+t)^2 for j in 1..n: G(n+t)G(n+t+1) - G(t)G(t+1)."""
+    return _telescope(_SQUARES, spec, t, n)
+
+
 def sum_sixth_closed(spec: SequenceSpec, t: int, n: int) -> int:
     """Sum of G(j+t)^6 for j in 1..n.
 
@@ -101,12 +118,7 @@ def sum_sixth_closed(spec: SequenceSpec, t: int, n: int) -> int:
                + e^2 (G(n+t)(G(n+t+1) + G(n+t-1)) - G(t)(G(t+1) + G(t-1)))] / 4
     with e the characteristic constant of the seeds.
     """
-    return _sum_sixth(spec, t, n)
-
-
-def _sum_sixth(spec: SequenceSpec, t: int, n: int):
-    num = _sixth_end(spec, n + t) - _sixth_end(spec, t)
-    return _exact_div(num, 4, "sum_sixth_closed")
+    return _telescope(_SIXTH, spec, t, n)
 
 
 def fib_sixth_closed(t: int, n: int) -> int:
@@ -117,7 +129,7 @@ def fib_sixth_closed(t: int, n: int) -> int:
     This is sum_sixth_closed at Fibonacci seeds, as e^2 = 1 and
     F(2k) = F(k)(F(k+1) + F(k-1)).
     """
-    return _sum_sixth(FIBONACCI, t, n)
+    return _telescope(_SIXTH, FIBONACCI, t, n)
 
 
 def lucas_sixth_closed(t: int, n: int) -> int:
@@ -128,7 +140,7 @@ def lucas_sixth_closed(t: int, n: int) -> int:
     This is sum_sixth_closed at Lucas seeds, as e^2 = 25 and
     5 F(2k) = L(k)(L(k+1) + L(k-1)).
     """
-    return _sum_sixth(LUCAS, t, n)
+    return _telescope(_SIXTH, LUCAS, t, n)
 
 
 def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
@@ -139,13 +151,7 @@ def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     Always an integer (the halving is checked to be exact); returned as a
     den = 1 rational.
     """
-    return Fraction(_alt_sum_fifth(spec, t, n))
-
-
-def _alt_sum_fifth(spec: SequenceSpec, t: int, n: int):
-    sign = -1 if n % 2 else 1  # (-1)^n
-    num = sign * _alt_end(spec, n + t) - _alt_end(spec, t)
-    return _exact_div(num, 2, "alt_sum_fifth_closed")
+    return Fraction(_telescope(_ALT_FIFTH, spec, t, n))
 
 
 def fib_alt_f5l_closed(n: int) -> Fraction:
@@ -156,9 +162,8 @@ def fib_alt_f5l_closed(n: int) -> Fraction:
     (-1)^(n+1) version contradicts the brute-force sum already at n = 1.
     This is alt_sum_fifth_closed at Fibonacci seeds and shift 0: D(0) = 0.
     """
-    if n < 0:
-        raise DomainError(f"fib_alt_f5l_closed requires n >= 0, got {n}")
-    return Fraction(_alt_sum_fifth(FIBONACCI, 0, n))
+    _require_n(n, 0, "fib_alt_f5l_closed")
+    return Fraction(_telescope(_ALT_FIFTH, FIBONACCI, 0, n))
 
 
 def lucas_alt_l5f_closed(n: int) -> Fraction:
@@ -170,19 +175,13 @@ def lucas_alt_l5f_closed(n: int) -> Fraction:
     L(j+1) + L(j-1) = 5 F(j), and 14/5 = 28/10 with 28 = -D(0). At n = 0
     the two parts cancel to 0, matching the empty sum.
     """
-    if n < 0:
-        raise DomainError(f"lucas_alt_l5f_closed requires n >= 0, got {n}")
-    return Fraction(_exact_div(_alt_sum_fifth(LUCAS, 0, n), 5, "lucas_alt_l5f_closed"))
+    _require_n(n, 0, "lucas_alt_l5f_closed")
+    return Fraction(_exact_div(_telescope(_ALT_FIFTH, LUCAS, 0, n), 5, "lucas_alt_l5f_closed"))
 
 
 def sum_cubes_product_closed(spec: SequenceSpec, t: int, n: int) -> int:
     """Sum of G(j+t)^3 G(j+t+1)^3 for j in 1..n: (P(n+t) - P(t)) / 4."""
-    return _sum_cubes_product(spec, t, n)
-
-
-def _sum_cubes_product(spec: SequenceSpec, t: int, n: int):
-    num = _triple_square(spec, n + t) - _triple_square(spec, t)
-    return _exact_div(num, 4, "sum_cubes_product_closed")
+    return _telescope(_CUBES_PRODUCT, spec, t, n)
 
 
 def recip_sum_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
@@ -207,9 +206,8 @@ def _recip_sum(spec: SequenceSpec, t: int, n: int) -> Fraction:
 
 def treeby_f3_closed(n: int) -> int:
     """Sum of F(j)^3 F(j+1)^3 for j in 1..n: F(n)^2 F(n+1)^2 F(n+2)^2 / 4."""
-    if n < 0:
-        raise DomainError(f"treeby_f3_closed requires n >= 0, got {n}")
-    return _sum_cubes_product(FIBONACCI, 0, n)
+    _require_n(n, 0, "treeby_f3_closed")
+    return _telescope(_CUBES_PRODUCT, FIBONACCI, 0, n)
 
 
 def treeby_l3_closed(n: int) -> int:
@@ -217,9 +215,8 @@ def treeby_l3_closed(n: int) -> int:
 
     This is sum_cubes_product_closed at Lucas seeds and shift 0: 9 = P(0) / 4.
     """
-    if n < 0:
-        raise DomainError(f"treeby_l3_closed requires n >= 0, got {n}")
-    return _sum_cubes_product(LUCAS, 0, n)
+    _require_n(n, 0, "treeby_l3_closed")
+    return _telescope(_CUBES_PRODUCT, LUCAS, 0, n)
 
 
 def recip_fib_special(n: int) -> Fraction:
@@ -228,8 +225,7 @@ def recip_fib_special(n: int) -> Fraction:
     (1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4: recip_sum_closed at Fibonacci
     seeds and shift 1, where 1/4 = 1/P(1) = 1/(F(1) F(2) F(3))^2.
     """
-    if n < 1:
-        raise DomainError(f"recip_fib_special requires n >= 1, got {n}")
+    _require_n(n, 1, "recip_fib_special")
     return _recip_sum(FIBONACCI, 1, n)
 
 
@@ -239,6 +235,5 @@ def recip_lucas_special(n: int) -> Fraction:
     (1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4: recip_sum_closed at Lucas
     seeds and shift 1, where 1/144 = 1/P(1) = 1/(L(1) L(2) L(3))^2.
     """
-    if n < 1:
-        raise DomainError(f"recip_lucas_special requires n >= 1, got {n}")
+    _require_n(n, 1, "recip_lucas_special")
     return _recip_sum(LUCAS, 1, n)

@@ -102,10 +102,10 @@ class IdentityDescriptor:
 
     ``evaluate`` is the closed-forms function itself. It takes (spec, t, n),
     or (t, n) when the entry fixes the seeds, or (n,) when it fixes the
-    seeds and the shift; closed() passes the matching arguments.
-    ``generic``, set on the seed-free integer forms, is the body behind
-    ``evaluate`` written over any exact number type; closed_text() runs it
-    in decimal.
+    seeds and the shift; closed() passes the matching arguments. An integer
+    sum is also the row _ROWS gives its kind, at its seeds and shift, over
+    oracle_scale's denominator (1, or 5 for lucas_alt_l5f); closed_text()
+    runs that in decimal.
     """
 
     id: str
@@ -118,7 +118,6 @@ class IdentityDescriptor:
     fixed_t: Optional[int] = None         # fixed shift; None = t-free
     min_n: Optional[int] = None           # smallest supported n; None = all integers
     oracle_scale: Fraction = Fraction(1)  # closed form = oracle_sum * scale
-    generic: Optional[Callable] = None    # evaluate's body over any exact number type
 
     def closed(self, spec: SequenceSpec, t: int, n: int) -> ExactValue:
         """The closed form at (spec, t, n), dropping the arguments it fixes."""
@@ -129,18 +128,26 @@ class IdentityDescriptor:
         return self.evaluate(n)
 
     def closed_text(self, spec: SequenceSpec, t: int, n: int) -> str:
-        """render_value(self.closed(spec, t, n)), the same text.
+        """render_value(self.closed(spec, t, n)), the same text or error.
 
-        With a generic body the value is computed in decimal from the seeds
-        up: libmpdec multiplies large operands by number-theoretic
-        transform where int uses Karatsuba, and str() of a Decimal is
-        linear. No large value is converted between int and Decimal.
+        spec and t as effective_inputs() gives them. An integer sum in its
+        domain is computed and printed in Decimal from the seeds up, never
+        converted: libmpdec multiplies by NTT where int uses Karatsuba.
         """
-        if self.generic is None:
+        if self.kind not in _ROWS or self.min_n is not None and n < self.min_n:
             return render_value(self.closed(spec, t, n))
         with exact_context():
             seeds = SequenceSpec(to_decimal(spec.g0), to_decimal(spec.g1))
-            return integer_text(self.generic(seeds, t, n))
+            value = closed_forms._telescope(_ROWS[self.kind], seeds, t, n)
+            return integer_text(closed_forms._exact_div(value, self.oracle_scale.denominator, self.id))
+
+
+_ROWS = {
+    SummandKind.SIXTH_POWER: closed_forms._SIXTH,
+    SummandKind.SQUARE: closed_forms._SQUARES,
+    SummandKind.ALT_FIFTH_NEIGHBOR: closed_forms._ALT_FIFTH,
+    SummandKind.CUBE_PRODUCT: closed_forms._CUBES_PRODUCT,
+}
 
 
 REGISTRY: tuple[IdentityDescriptor, ...] = (
@@ -151,7 +158,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         closed_form="[G(n+t)^5 G(n+t+3) - G(t)^5 G(t+3) + e^2 (G(n+t)(G(n+t+1)+G(n+t-1)) - G(t)(G(t+1)+G(t-1)))] / 4",
         source="extends the Fibonacci/Lucas sixth-power sums of Ohtsuka and Nakamura (2010)",
         evaluate=closed_forms.sum_sixth_closed,
-        generic=closed_forms._sum_sixth,
     ),
     IdentityDescriptor(
         id="sum_g2",
@@ -160,7 +166,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         closed_form="G(n+t) G(n+t+1) - G(t) G(t+1)",
         source="classical telescoping of consecutive-term products",
         evaluate=closed_forms.sum_squares_closed,
-        generic=closed_forms._sum_squares,
     ),
     IdentityDescriptor(
         id="alt_g5",
@@ -169,7 +174,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         closed_form="(-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t), P(m) = (G(m)G(m+1)G(m+2))^2, Q(m) = G(m+1)^4 G(m)^2",
         source="alternating telescoping over the squared triple-product window",
         evaluate=closed_forms.alt_sum_fifth_closed,
-        generic=closed_forms._alt_sum_fifth,
     ),
     IdentityDescriptor(
         id="sum_g3g3",
@@ -178,7 +182,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         closed_form="(P(n+t) - P(t)) / 4",
         source="extends the cube-product sums of Treeby (2016)",
         evaluate=closed_forms.sum_cubes_product_closed,
-        generic=closed_forms._sum_cubes_product,
     ),
     IdentityDescriptor(
         id="recip",

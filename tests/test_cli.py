@@ -13,7 +13,7 @@ import pytest
 
 import gibsum
 from conftest import unlimited_int_str
-from gibsum import ZeroTermError, verifier
+from gibsum import SummandKind, ZeroTermError, verifier
 from gibsum.cli import main, run_bench, _digest, _parse_range, _parse_seeds
 
 
@@ -36,14 +36,17 @@ def _terms_mod(g0, g1, k, count, m):
 
 
 def _closed_mod(identity, g0, g1, t, n, m):
-    """The closed form at (g0, g1, t, n) mod m, with t >= 1 and n >= 0."""
+    """The closed form at (g0, g1, t, n) mod m, with n >= 0, and t >= 1 for sum_g6."""
+    if identity == "lucas_alt_l5f":
+        # the Lucas alternating sum over 5, a division known to be exact
+        return _closed_mod("alt_g5", g0, g1, t, n, 5 * m) // 5
     if identity == "sum_g6":
         e2 = (g0 * g0 - g1 * g1 + g0 * g1) ** 2
         hm1, hi, hp1, _, hp3 = _terms_mod(g0, g1, n + t - 1, 5, 4 * m)
         lm1, lo, lp1, _, lp3 = _terms_mod(g0, g1, t - 1, 5, 4 * m)
         num = hi**5 * hp3 - lo**5 * lp3 + e2 * (hi * (hp1 + hm1) - lo * (lp1 + lm1))
         return num % (4 * m) // 4
-    if identity == "sum_g3g3":
+    if identity in ("sum_g3g3", "treeby_l3"):
         h0, h1, h2 = _terms_mod(g0, g1, n + t, 3, 4 * m)
         l0, l1, l2 = _terms_mod(g0, g1, t, 3, 4 * m)
         return ((h0 * h1 * h2) ** 2 - (l0 * l1 * l2) ** 2) % (4 * m) // 4
@@ -92,6 +95,10 @@ class TestList:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "id\tsummand\tclosed_form\tsource"
         assert len(lines) == 1 + len(verifier.REGISTRY)
+
+
+# a squares row whose end is wrong: S(3) = (E(3) - E(0)) / 1 = 999 at t = 0
+BROKEN_SQUARES = (lambda spec, m: 333 * m, 1, False, "sum_squares_closed")
 
 
 class TestEval:
@@ -193,36 +200,32 @@ class TestEval:
         f_n, f_n1 = _fib_pair_mod(n, 10**30)
         assert closed[-30:] == str(f_n * f_n1 % 10**30).zfill(30)
 
-    @pytest.mark.parametrize("identity", ["sum_g6", "alt_g5", "sum_g3g3"])
+    @pytest.mark.parametrize("identity", ["sum_g6", "alt_g5", "sum_g3g3", "treeby_l3", "lucas_alt_l5f"])
     def test_large_value_trailing_digits(self, capsys, identity):
         # computed in decimal from the seeds up; checked mod 10^30
-        g0, g1, t, n = 3, -4, 7, 1_000_000
-        assert main(["eval", identity, f"--g0={g0}", f"--g1={g1}", f"--t={t}", f"--n={n}"]) == 0
+        desc, n = verifier.descriptor(identity), 1_000_000
+        spec, t = verifier.effective_inputs(desc, gibsum.SequenceSpec(3, -4), 7)
+        point = [] if desc.seeds else [f"--g0={spec.g0}", f"--g1={spec.g1}", f"--t={t}"]
+        assert main(["eval", identity, *point, f"--n={n}"]) == 0
         closed = json.loads(capsys.readouterr().out)["closed"]
         digits = closed.lstrip("-")
         assert len(digits) > 1_000_000 and digits.isdigit() and digits[0] != "0"
         m = 10**30
-        expected = _closed_mod(identity, g0, g1, t, n, m)
+        expected = _closed_mod(identity, spec.g0, spec.g1, t, n, m)
         if closed.startswith("-"):
             expected = -expected % m
         assert digits[-30:] == str(expected).zfill(30)
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        broken = dataclasses.replace(
-            verifier.descriptor("sum_g2"), generic=lambda spec, t, n: 999
-        )
-        monkeypatch.setitem(verifier._BY_ID, "sum_g2", broken)
+        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, BROKEN_SQUARES)
         code = main(["eval", "sum_g2", "--n", "3", "--method", "both"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["match"] is False
 
     def test_both_compares_the_printed_text(self, capsys, monkeypatch):
-        # only the decimal body is broken, so only a comparison of the text
+        # only the decimal path is broken, so only a comparison of the text
         # --method closed prints can see it
-        broken = dataclasses.replace(
-            verifier.descriptor("sum_g2"), generic=lambda spec, t, n: 999
-        )
-        monkeypatch.setitem(verifier._BY_ID, "sum_g2", broken)
+        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, BROKEN_SQUARES)
         assert main(["eval", "sum_g2", "--n=3"]) == 0
         printed = json.loads(capsys.readouterr().out)["closed"]
         assert printed == "999"
@@ -399,13 +402,29 @@ class TestEntryPoints:
         assert traced.returncode == 0, traced.stderr
         assert main(argv) == 0
         assert traced.stdout == capsys.readouterr().out
-        if identity in SPECIAL_IDS:
-            # the tracer wraps every public closed form, so a special that
-            # called another public form would record two spans
-            calls = _perfbench_tracer().summarize(json.loads(spans.read_text()))
-            assert calls["closed_forms.calls"] == 1
-        else:
-            assert spans.stat().st_size > 0
+        assert spans.stat().st_size > 0
+
+    def test_traced_special_is_one_call(self, tmp_path):
+        # the tracer wraps every public closed form, so a special that
+        # called another public form would record a span inside its own
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(gibsum.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        specials = [d for d in verifier.REGISTRY if d.seeds is not None]
+        jobs, spans = tmp_path / "jobs.json", tmp_path / "spans.json"
+        jobs.write_text(json.dumps([[d.id, 0, 1, 2, 30] for d in specials]))
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "api_child.py"), str(jobs), str(spans)],
+            capture_output=True, text=True, env=env,
+        )
+        assert traced.returncode == 0, traced.stderr
+        records = [json.loads(line) for line in traced.stdout.splitlines()]
+        assert len(records) == len(specials) and all("num" in r for r in records)
+        record = json.loads(spans.read_text())
+        tracer = _perfbench_tracer()
+        closed = tracer.LAYERS.index("closed_forms")
+        parents = [p for layer, p in zip(record["layer"], record["parent"]) if layer == closed]
+        assert parents == [-1] * len(specials)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -1,5 +1,6 @@
 """Closed-form evaluators: frozen values, coherence, and domain errors."""
 
+import dataclasses
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from gibsum import (
     DomainError,
     IntegralityError,
     SequenceSpec,
+    SummandKind,
     ZeroTermError,
     alt_sum_fifth_closed,
     fib_alt_f5l_closed,
@@ -34,7 +36,7 @@ from gibsum.closed_forms import (
 )
 from gibsum.render import exact_context, integer_text
 from gibsum.sequences import characteristic_e, fib, lucas, term
-from gibsum.verifier import REGISTRY, descriptor, render_value
+from gibsum.verifier import REGISTRY, descriptor, effective_inputs, render_value
 
 F = SequenceSpec(0, 1)
 L = SequenceSpec(2, 1)
@@ -270,14 +272,6 @@ class TestDomains:
 
 
 class TestIntegralityGuards:
-    def test_exact_quarter_accepts_multiples(self):
-        assert _exact_div(-8, 4, "op") == -2
-
-    def test_exact_quarter_rejects_others(self):
-        with pytest.raises(IntegralityError) as exc:
-            _exact_div(10, 4, "someop")
-        assert "someop" in str(exc.value)
-
     @pytest.mark.parametrize("number", [int, Decimal])
     def test_exact_divisions_check_the_remainder(self, number):
         # a Decimal halves, quarters or fifths exactly (x.5, x.25, x.2)
@@ -303,22 +297,37 @@ class TestIntegralityGuards:
                 assert isinstance(sum_cubes_product_closed(spec, t, n), int)
 
 
-DECIMAL_IDS = ("sum_g6", "sum_g2", "alt_g5", "sum_g3g3")
+# the integer sums; the recip family's values are rationals
+INTEGER_IDS = tuple(d.id for d in REGISTRY if d.kind is not SummandKind.RECIPROCAL_WINDOW)
 
 
 class TestDecimalPath:
-    def test_generic_bodies_are_the_seed_free_integer_forms(self):
-        assert tuple(d.id for d in REGISTRY if d.generic is not None) == DECIMAL_IDS
-
-    @pytest.mark.parametrize("identity", DECIMAL_IDS)
+    @pytest.mark.parametrize("identity", INTEGER_IDS)
     def test_text_equals_int_path(self, identity):
         desc = descriptor(identity)
-        for seeds in GRID_SEEDS:
-            spec = SequenceSpec(*seeds)
-            for t in range(FULL_T_RANGE[0], FULL_T_RANGE[1] + 1):
-                for n in range(-12, FULL_N_RANGE[1] + 1):
-                    expected = render_value(desc.closed(spec, t, n))
-                    assert desc.closed_text(spec, t, n) == expected, (seeds, t, n)
+        # without its public function the entry can only print through its row
+        decimal_only = dataclasses.replace(desc, evaluate=None)
+        points = {
+            effective_inputs(desc, SequenceSpec(*seeds), t)
+            for seeds in GRID_SEEDS
+            for t in range(FULL_T_RANGE[0], FULL_T_RANGE[1] + 1)
+        }
+        n_lo = -12 if desc.min_n is None else desc.min_n
+        for spec, t in points:
+            for n in range(n_lo, FULL_N_RANGE[1] + 1):
+                expected = render_value(desc.closed(spec, t, n))
+                assert decimal_only.closed_text(spec, t, n) == expected, (spec, t, n)
+
+    @pytest.mark.parametrize("identity", [d.id for d in REGISTRY if d.min_n is not None])
+    def test_below_the_domain_raises(self, identity):
+        desc = descriptor(identity)
+        with pytest.raises(DomainError, match=f"requires n >= {desc.min_n}, got {desc.min_n - 1}"):
+            desc.closed_text(desc.seeds, desc.fixed_t, desc.min_n - 1)
+
+    @pytest.mark.parametrize("identity", [d.id for d in REGISTRY if d.id not in INTEGER_IDS])
+    def test_recip_family_prints_its_public_function(self, identity):
+        desc = dataclasses.replace(descriptor(identity), evaluate=lambda *args: Fraction(-1, 7))
+        assert desc.closed_text(F, 1, 2) == "-1/7"
 
     def test_negative_zero_prints_as_zero(self):
         with exact_context():
