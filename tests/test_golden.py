@@ -109,6 +109,10 @@ CASES = [
     ["verify", "sum_g6", "--seeds=2,1;-2,5", "--t=-2..2", "--n=-2..2", "--format=tsv"],
     ["verify", "fib6", "--n=-3..3", "--format=tsv"],
     ["verify", "lucas_alt_l5f", "--n=-2..4"],
+    # sweep rows over render.STR_CUTOFF_BITS, denominator-1 Fractions, and p/q cells
+    ["verify", "sum_g6", "--seeds=517,-802", "--t=3", "--n=2998..3000"],
+    ["verify", "alt_g5", "--seeds=2,1", "--t=-1..1", "--n=-3..3", "--format=tsv"],
+    ["verify", "recip", "--seeds=3,-2;1,1", "--t=-2..1", "--n=-3..3", "--format=tsv"],
 ]
 
 

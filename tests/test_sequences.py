@@ -40,6 +40,26 @@ class TestSequenceSpec:
         assert FIBONACCI.seeds == (0, 1)
         assert LUCAS.seeds == (2, 1)
 
+    def test_rejects_double_zero_by_keyword(self):
+        with pytest.raises(ValueError, match=r"^invalid seeds \(0, 0\): at least one seed must be nonzero$"):
+            SequenceSpec(g0=0, g1=0)
+
+    def test_value_semantics(self):
+        spec = SequenceSpec(3, -4)
+        assert spec == SequenceSpec(g0=3, g1=-4) == SequenceSpec(3, g1=-4)
+        assert spec != SequenceSpec(-4, 3) and spec != (3, -4)
+        assert hash(spec) == hash(SequenceSpec(3, -4))
+        assert len({spec, SequenceSpec(3, -4), FIBONACCI}) == 2
+        assert repr(spec) == "SequenceSpec(g0=3, g1=-4)"
+
+    def test_immutable(self):
+        spec = SequenceSpec(3, -4)
+        with pytest.raises(AttributeError):
+            spec.g0 = 5
+        with pytest.raises(AttributeError):
+            del spec.g1
+        assert spec.seeds == (3, -4)
+
 
 class TestTerm:
     @pytest.mark.parametrize(

@@ -20,12 +20,15 @@ from gibsum import (
     REGISTRY,
     SequenceSpec,
     TSV_COLUMNS,
+    SummandKind,
     UnknownIdentityError,
+    VerificationReport,
     ZeroTermError,
     check_point_identities,
     check_telescoping,
     descriptor,
     identity_ids,
+    oracle_sum,
     render_value,
     sweep,
     verify_one,
@@ -108,6 +111,12 @@ class TestRenderValue:
         with unlimited_int_str():
             expected = [str(v) for v in values]
         assert [render_value(v) for v in values] == expected
+
+    def test_ints_fractions_and_bools(self):
+        assert render_value(-7) == "-7"
+        assert render_value(Fraction(6)) == "6"
+        assert render_value(Fraction(-3, 6)) == "-1/2"
+        assert render_value(True) == "1"
 
     def test_zero_and_units(self):
         self.assert_same_as_str([0, 1, -1])
@@ -230,6 +239,26 @@ class TestVerifyOne:
         assert not rep.match
         assert rep.closed == "999" and rep.oracle == "6" and rep.error is None
 
+    def test_fraction_mismatch_renders_each_side(self, monkeypatch):
+        broken = dataclasses.replace(
+            descriptor("recip"), evaluate=lambda spec, t, n: Fraction(1, 7)
+        )
+        monkeypatch.setitem(verifier._BY_ID, "recip", broken)
+        spec = SequenceSpec(3, -2)
+        rep = verify_one("recip", spec, -2, 2)
+        expected = oracle_sum(SummandKind.RECIPROCAL_WINDOW, spec, -2, 2)
+        assert not rep.match and rep.error is None
+        assert rep.closed == "1/7"
+        assert rep.oracle == f"{expected.numerator}/{expected.denominator}" == "-133/19200"
+
+    def test_denominator_one_fraction_matches(self):
+        spec = SequenceSpec(2, 1)
+        value = closed_forms.alt_sum_fifth_closed(spec, 1, 3)
+        assert isinstance(value, Fraction) and value.denominator == 1
+        rep = verify_one("alt_g5", spec, 1, 3)
+        assert rep.match and rep.error is None
+        assert rep.closed == rep.oracle == str(value.numerator)
+
     def test_one_sided_error_is_mismatch(self, monkeypatch):
         def explode(spec, t, n):
             raise ZeroTermError(99, spec.seeds)
@@ -269,6 +298,22 @@ class TestReportShapes:
         assert len(cells) == len(TSV_COLUMNS)
         assert cells[5] == "" and cells[6] == "" and cells[7] == "true"
         assert cells[8].startswith("zero term")
+
+
+class TestVerificationReport:
+    FIELDS = dict(identity="sum_g2", g0=0, g1=1, t=0, n=3, closed="6", oracle="6", match=True)
+
+    def test_equal_fields_compare_equal(self):
+        rep = VerificationReport(**self.FIELDS)
+        assert rep == VerificationReport("sum_g2", 0, 1, 0, 3, "6", "6", True, None)
+        assert rep == verify_one("sum_g2", F, 0, 3)
+
+    @pytest.mark.parametrize("name, other", [
+        ("identity", "sum_g6"), ("g0", 2), ("g1", -1), ("t", 1), ("n", 4),
+        ("closed", "7"), ("oracle", "7"), ("match", False), ("error", "x"),
+    ])
+    def test_one_differing_field(self, name, other):
+        assert VerificationReport(**{**self.FIELDS, name: other}) != VerificationReport(**self.FIELDS)
 
 
 class TestGridSpec:
