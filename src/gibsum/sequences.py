@@ -19,19 +19,32 @@ and an index window of any length is checked against it in O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class SequenceSpec:
-    """Seeds of a gibonacci sequence: the terms at index 0 and 1."""
+    """Seeds of a gibonacci sequence: the terms at index 0 and 1. Immutable."""
 
-    g0: int
-    g1: int
+    __slots__ = ("g0", "g1")
 
-    def __post_init__(self):
-        if self.g0 == 0 and self.g1 == 0:
+    def __init__(self, g0: int, g1: int):
+        if g0 == 0 and g1 == 0:
             raise ValueError("invalid seeds (0, 0): at least one seed must be nonzero")
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "g1", g1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.seeds == other.seeds if type(other) is SequenceSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self.seeds)
+
+    def __repr__(self):
+        return f"SequenceSpec(g0={self.g0!r}, g1={self.g1!r})"
 
     @property
     def seeds(self) -> tuple[int, int]:

@@ -25,6 +25,8 @@ ExactValue = Union[int, Fraction]
 
 def render_value(value: ExactValue) -> str:
     """Canonical text form: integers as decimals, others as reduced "p/q"."""
+    if type(value) is int:
+        return decimal_text(value)
     f = Fraction(value)
     if f.denominator == 1:
         return decimal_text(f.numerator)
@@ -34,19 +36,25 @@ def render_value(value: ExactValue) -> str:
 TSV_COLUMNS = ("identity", "g0", "g1", "t", "n", "closed", "oracle", "match", "error")
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one closed-form-vs-oracle comparison at a single point."""
+    """One closed-form-vs-oracle comparison at one point; match None = nothing compared."""
 
-    identity: str
-    g0: int
-    g1: int
-    t: int
-    n: int
-    closed: Optional[str]
-    oracle: Optional[str]
-    match: Optional[bool]  # None when nothing was compared
-    error: Optional[str] = None
+    __slots__ = TSV_COLUMNS
+
+    def __init__(
+        self, identity: str, g0: int, g1: int, t: int, n: int, closed: Optional[str],
+        oracle: Optional[str], match: Optional[bool], error: Optional[str] = None,
+    ):
+        self.identity, self.g0, self.g1, self.t, self.n = identity, g0, g1, t, n
+        self.closed, self.oracle, self.match, self.error = closed, oracle, match, error
+
+    def __eq__(self, other):
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in TSV_COLUMNS)
+
+    def __repr__(self):
+        return f"VerificationReport({', '.join(f'{k}={getattr(self, k)!r}' for k in TSV_COLUMNS)})"
 
     def as_dict(self) -> dict:
         # seeds and values as strings: arbitrary-precision integers do not
@@ -78,22 +86,22 @@ class VerificationReport:
         return "\t".join(cells)
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Sweep domain: seed pairs and inclusive t and n intervals."""
 
-    seeds: tuple[tuple[int, int], ...]
-    t_range: tuple[int, int]
-    n_range: tuple[int, int]
+    __slots__ = ("seeds", "t_range", "n_range")
 
-    def __post_init__(self):
-        if not self.seeds:
+    def __init__(
+        self, seeds: tuple[tuple[int, int], ...], t_range: tuple[int, int], n_range: tuple[int, int]
+    ):
+        if not seeds:
             raise ValueError("grid needs at least one seed pair")
-        for g0, g1 in self.seeds:
+        for g0, g1 in seeds:
             SequenceSpec(g0, g1)  # rejects (0, 0)
-        for name, (lo, hi) in (("t", self.t_range), ("n", self.n_range)):
+        for name, (lo, hi) in (("t", t_range), ("n", n_range)):
             if lo > hi:
                 raise ValueError(f"empty {name} range {lo}..{hi}")
+        self.seeds, self.t_range, self.n_range = seeds, t_range, n_range
 
 
 @dataclass(frozen=True)
@@ -314,21 +322,21 @@ def _compare(
         closed_err = str(exc)
     oracle_value = oracle_err = None
     if isinstance(outcome, Fraction):
-        oracle_value = outcome * desc.oracle_scale
+        oracle_value = outcome if desc.oracle_scale == 1 else outcome * desc.oracle_scale
     else:
         oracle_err = str(ZeroTermError(outcome, spec.seeds))
     if closed_err is None and oracle_err is None:
-        match, error = Fraction(closed_value) == oracle_value, None
+        match, error = closed_value == oracle_value, None
     elif closed_err == oracle_err:
         match, error = True, closed_err  # the identity holds wherever it is defined
     else:
         match, error = False, f"closed: {closed_err or 'ok'}; oracle: {oracle_err or 'ok'}"
-    return VerificationReport(
-        desc.id, spec.g0, spec.g1, t, n,
-        closed=None if closed_value is None else render_value(closed_value),
-        oracle=None if oracle_value is None else render_value(oracle_value),
-        match=match, error=error,
-    )
+    closed = None if closed_value is None else render_value(closed_value)
+    if match and error is None:
+        oracle = closed  # render_value is canonical: equal values, equal text
+    else:
+        oracle = None if oracle_value is None else render_value(oracle_value)
+    return VerificationReport(desc.id, spec.g0, spec.g1, t, n, closed, oracle, match, error)
 
 
 def _line(

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -366,6 +367,23 @@ def _perfbench_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestStartUp:
+    def test_identity_descriptor_is_the_only_dataclass(self):
+        # every gibsum process builds its modules from source, and each
+        # @dataclass adds to that; IdentityDescriptor stays one because
+        # perfbench/tracer.py finds the registry's callables through
+        # dataclasses.fields(), so new value classes are plain classes
+        found = []
+        for info in pkgutil.iter_modules(gibsum.__path__):
+            module = importlib.import_module(f"gibsum.{info.name}")
+            found += [
+                value.__name__ for value in vars(module).values()
+                if isinstance(value, type) and value.__module__ == module.__name__
+                and dataclasses.is_dataclass(value)
+            ]
+        assert found == ["IdentityDescriptor"]
 
 
 class TestEntryPoints:
