@@ -113,6 +113,11 @@ CASES = [
     ["verify", "sum_g6", "--seeds=517,-802", "--t=3", "--n=2998..3000"],
     ["verify", "alt_g5", "--seeds=2,1", "--t=-1..1", "--n=-3..3", "--format=tsv"],
     ["verify", "recip", "--seeds=3,-2;1,1", "--t=-2..1", "--n=-3..3", "--format=tsv"],
+    # sweep windows straddling |k| = 91, the largest index whose Fibonacci
+    # pair (F(k), F(k+1)) fits a signed 64-bit word
+    ["verify", "sum_g6", "--seeds=2,1;-3,5", "--t=88..92", "--n=-2..3"],
+    ["verify", "sum_g6", "--seeds=2,1;-3,5", "--t=-92..-88", "--n=-2..3"],
+    ["verify", "recip", "--seeds=2,1", "--t=87..91", "--n=-2..3"],
 ]
 
 
