@@ -238,7 +238,7 @@ def _cmd_verify(args) -> int:
             if args.format == "tsv":
                 out.write(rep.as_tsv_row() + "\n")
             else:
-                out.write(("\n" if first else ",\n") + json.dumps(rep.as_dict()))
+                out.write(("\n" if first else ",\n") + rep.as_json_row())
             first = False
         print(f"{identity_id}: {len(reports) - failed}/{len(reports)} match", file=sys.stderr)
     if args.format != "tsv":

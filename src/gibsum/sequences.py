@@ -9,7 +9,8 @@ The Fibonacci numbers are the (0, 1) sequence and the Lucas numbers the
 (2, 1) sequence. Every other sequence is a linear combination of Fibonacci
 terms: G(k) = G1*F(k) + G0*F(k-1), which is what makes O(log|k|) term access
 possible, and a run of consecutive terms costs one such pass plus additions.
-The pass doubles (F(m), L(m)): one product and one square per bit of |k|.
+The pass doubles (F(m), L(m)): one product and one square per bit of |k|;
+below |k| = 92 the pair is read from a table built once at import.
 
 A sequence has at most one zero term: if G(a) = 0 then G(k) = G(a+1)*F(k-a),
 and F vanishes only at 0. The zero, when there is one, lies within about
@@ -55,13 +56,29 @@ FIBONACCI = SequenceSpec(0, 1)
 LUCAS = SequenceSpec(2, 1)
 
 
+def _recurrence_terms(bound: int) -> tuple:
+    """F(-bound) .. F(bound + 1), by single steps of the recurrence from F(0), F(1)."""
+    terms = [0, 1]
+    for _ in range(bound):  # one step down, F(k-1) = F(k+1) - F(k), and one up
+        terms.insert(0, terms[1] - terms[0])
+        terms.append(terms[-1] + terms[-2])
+    return tuple(terms)
+
+
+_SMALL_K = 91  # the largest k whose pair (F(k), F(k+1)) fits a signed 64-bit word
+_SMALL_F = _recurrence_terms(_SMALL_K)  # F(k) at k + _SMALL_K
+
+
 def _fib_pair(k: int, one=1):
     """(F(k), F(k+1)) for any integer k, by fast doubling of (F, L) over |k|.
 
     F(2m) = F(m) L(m), L(2m) = L(m)^2 - 2(-1)^m: one product and one square
     per bit; F(m+1) = (F(m) + L(m)) / 2 and L(m+1) = (5 F(m) + L(m)) / 2 are
-    exact halvings. The terms are multiples of one, so have its number type.
+    exact halvings. The terms have the number type of one, 1 or Decimal(1);
+    int pairs with |k| <= _SMALL_K are read from a table.
     """
+    if type(one) is int and -_SMALL_K <= k <= _SMALL_K:
+        return _SMALL_F[k + _SMALL_K], _SMALL_F[k + _SMALL_K + 1]
     fm, lm, odd = one - one, 2 * one, False  # F(m), L(m), m odd; m = 0
     for bit in f"{abs(k):b}":
         fm, lm = fm * lm, lm * lm + (2 if odd else -2)
@@ -86,7 +103,7 @@ def lucas(k: int) -> int:
 def term(spec: SequenceSpec, k: int) -> int:
     """Exact term G(k) in O(log|k|) big-integer operations.
 
-    Evaluates G(k) = G1*F(k) + G0*F(k-1) with one fast-doubling pass.
+    Evaluates G(k) = G1*F(k) + G0*F(k-1) from one _fib_pair call.
     """
     return window(spec, k, 1)[0]
 
@@ -94,9 +111,9 @@ def term(spec: SequenceSpec, k: int) -> int:
 def window(spec: SequenceSpec, m: int, count: int) -> list:
     """The count consecutive terms G(m), ..., G(m+count-1).
 
-    One fast-doubling pass gives G(m) and G(m+1); the rest are additions.
-    The terms have the seeds' number type: int, or an integer-valued
-    Decimal inside render.exact_context().
+    One _fib_pair call gives G(m) and G(m+1); the rest are additions. The
+    terms have the seeds' number type: int, or an integer-valued Decimal
+    inside render.exact_context(). The list is new on every call.
     """
     fm, fm1 = _fib_pair(m, type(spec.g1)(1))
     terms = [spec.g1 * fm + spec.g0 * (fm1 - fm), spec.g1 * fm1 + spec.g0 * fm]

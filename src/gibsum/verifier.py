@@ -1,11 +1,10 @@
-"""Identity registry, closed-form-vs-oracle sweeps, and property suites.
+"""Identity registry and closed-form-vs-oracle sweeps.
 
 The registry binds each identity id to its closed form, its summand family,
 and its validity domain (fixed seeds, fixed shift, smallest supported n).
 It is the one declaration of an identity; nothing else lists them.
-verify_one() compares one grid point, sweep() walks a whole grid in a fixed
-deterministic order, and the telescoping / point-identity suites realize the
-properties the closed forms are derived from.
+verify_one() compares one grid point, and sweep() walks a whole grid in a
+fixed deterministic order.
 """
 
 from __future__ import annotations
@@ -16,9 +15,14 @@ from typing import Callable, Optional, Union
 
 from . import closed_forms
 from .errors import UnknownIdentityError, ZeroTermError
-from .oracle import SummandKind, oracle_term, oracle_walk
+from .oracle import SummandKind, oracle_walk
 from .render import decimal_text, exact_context, integer_text, to_decimal
-from .sequences import FIBONACCI, LUCAS, SequenceSpec, characteristic_e, lucas, term, window
+from .sequences import FIBONACCI, LUCAS, SequenceSpec
+
+try:  # json.dumps's own escaper; loading json here would add to the peak as cli.py compiles
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 ExactValue = Union[int, Fraction]
 
@@ -70,6 +74,19 @@ class VerificationReport:
             "match": self.match,
             "error": self.error,
         }
+
+    def as_json_row(self) -> str:
+        """json.dumps(self.as_dict()), formatted directly."""
+        identity, closed, oracle, error = (
+            "null" if text is None else encode_basestring_ascii(text)
+            for text in (self.identity, self.closed, self.oracle, self.error)
+        )
+        match = "null" if self.match is None else "true" if self.match else "false"
+        return (
+            f'{{"identity": {identity}, "g0": "{decimal_text(self.g0)}", '
+            f'"g1": "{decimal_text(self.g1)}", "t": {self.t}, "n": {self.n}, '
+            f'"closed": {closed}, "oracle": {oracle}, "match": {match}, "error": {error}}}'
+        )
 
     def as_tsv_row(self) -> str:
         cells = (
@@ -395,90 +412,3 @@ def sweep(identity_id: str, grid: GridSpec) -> list[VerificationReport]:
         for t in range(t_lo, t_hi + 1)
         for report in _line(desc, SequenceSpec(g0, g1), t, *grid.n_range)
     ]
-
-
-def check_telescoping(
-    identity_id: str, spec: SequenceSpec, t: int, n_range: tuple[int, int]
-) -> list[VerificationReport]:
-    """Verify S(n) - S(n-1) = term(n) for each n in the inclusive range.
-
-    The left side uses only the closed form, the right side only the
-    brute-force summand. The range is clipped so both S(n) and S(n-1) lie
-    in the identity's n-domain. Points where either side hits a zero term
-    pass vacuously with the error recorded.
-    """
-    desc = descriptor(identity_id)
-    spec, t = effective_inputs(desc, spec, t)
-    lo, hi = n_range
-    if desc.min_n is not None:
-        lo = max(lo, desc.min_n + 1)
-    reports = []
-    for n in range(lo, hi + 1):
-        try:
-            diff = Fraction(desc.closed(spec, t, n)) - Fraction(desc.closed(spec, t, n - 1))
-            expected = oracle_term(desc.kind, spec, t, n) * desc.oracle_scale
-        except ZeroTermError as exc:
-            reports.append(VerificationReport(
-                desc.id, spec.g0, spec.g1, t, n,
-                closed=None, oracle=None, match=True, error=str(exc),
-            ))
-            continue
-        reports.append(VerificationReport(
-            desc.id, spec.g0, spec.g1, t, n,
-            closed=render_value(diff), oracle=render_value(expected),
-            match=diff == expected,
-        ))
-    return reports
-
-
-POINT_IDENTITY_IDS = (
-    "vajda28",
-    "vajda10a",
-    "catalan_shift2",
-    "doubling_sub",
-    "doubling_add",
-    "square_window_sum",
-    "square_window_diff",
-)
-
-
-def check_point_identities(
-    spec: SequenceSpec, r_range: tuple[int, int], s_range: tuple[int, int]
-) -> list[VerificationReport]:
-    """Evaluate both sides of the classical point identities over a grid.
-
-    Reports reuse the sweep shape: the identity's r lands in the t field and
-    (for the two-index identity vajda10a) s lands in the n field; closed
-    holds the left side, oracle the right.
-    """
-    e = characteristic_e(spec)
-    reports = []
-    for r in range(r_range[0], r_range[1] + 1):
-        g = dict(zip(range(-2, 3), window(spec, r - 2, 5)))
-        sign = -1 if r % 2 else 1  # (-1)^r
-        p_hi = g[0] ** 2 * g[1] ** 2 * g[2] ** 2
-        p_lo = g[-1] ** 2 * g[0] ** 2 * g[1] ** 2
-        one_index = (
-            ("vajda28", g[0] * g[2], g[1] ** 2 + sign * e),
-            ("catalan_shift2", g[-2] * g[2], g[0] ** 2 + sign * e),
-            ("doubling_sub", g[2] - g[-1], 2 * g[0]),
-            ("doubling_add", g[2] + g[-1], 2 * g[1]),
-            ("square_window_sum", p_hi + p_lo, 2 * g[0] ** 4 * g[1] ** 2 + 2 * g[1] ** 4 * g[0] ** 2),
-            ("square_window_diff", p_hi - p_lo, 4 * g[0] ** 3 * g[1] ** 3),
-        )
-        for pid, left, right in one_index:
-            reports.append(VerificationReport(
-                pid, spec.g0, spec.g1, r, 0,
-                closed=render_value(left), oracle=render_value(right),
-                match=left == right,
-            ))
-        for s in range(s_range[0], s_range[1] + 1):
-            s_sign = -1 if s % 2 else 1  # (-1)^s
-            left = term(spec, r + s) + s_sign * term(spec, r - s)
-            right = lucas(s) * g[0]
-            reports.append(VerificationReport(
-                "vajda10a", spec.g0, spec.g1, r, s,
-                closed=render_value(left), oracle=render_value(right),
-                match=left == right,
-            ))
-    return reports

@@ -385,6 +385,20 @@ class TestStartUp:
             ]
         assert found == ["IdentityDescriptor"]
 
+    def test_cli_import_skips_the_property_suites(self):
+        # no CLI command uses them; gibsum loads them on first access
+        src = str(Path(gibsum.__file__).parents[1])
+        script = (
+            "import sys, gibsum.cli; print('gibsum.properties' in sys.modules); "
+            "from gibsum import check_telescoping; print('gibsum.properties' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
@@ -412,6 +426,21 @@ class TestEntryPoints:
         n = 5000 if method == "closed" else 500  # the recip oracle is slow at 5000
         point = ["--g0=3", "--g1=-4", "--t=2"] if identity in SEED_FREE_IDS else []
         argv = ["eval", identity, *point, f"--n={n}", f"--method={method}"]
+        spans = tmp_path / "spans.json"
+        traced = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "cli_child.py"), str(spans), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert traced.returncode == 0, traced.stderr
+        assert main(argv) == 0
+        assert traced.stdout == capsys.readouterr().out
+        assert spans.stat().st_size > 0
+
+    def test_traced_verify_prints_the_same(self, tmp_path, capsys):
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(gibsum.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, str(root / "perfbench")))}
+        argv = ["verify", "all", "--seeds=0,1;3,-2", "--t=-1..0", "--n=-3..2"]
         spans = tmp_path / "spans.json"
         traced = subprocess.run(
             [sys.executable, str(root / "perfbench" / "cli_child.py"), str(spans), *argv],

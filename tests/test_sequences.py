@@ -19,7 +19,7 @@ from gibsum import (
     term_naive,
 )
 from gibsum.render import exact_context
-from gibsum.sequences import _fib_pair, window, zero_index
+from gibsum.sequences import _SMALL_K, _fib_pair, window, zero_index
 
 seed_ints = st.integers(min_value=-50, max_value=50)
 
@@ -131,6 +131,36 @@ class TestFibPair:
             got = _fib_pair(k, Decimal(1))
         assert all(isinstance(v, Decimal) for v in got)
         assert got == _fib_pair(k)
+
+
+class TestSmallPairTable:
+    # int pairs with |k| <= _SMALL_K are read from a table; a Decimal one
+    # always takes the doubling path
+
+    def test_bound_is_the_last_64_bit_pair(self):
+        assert _fib_pair_naive(_SMALL_K)[1] < 2**63 <= _fib_pair_naive(_SMALL_K + 1)[1]
+        assert -(2**63) <= _fib_pair_naive(-_SMALL_K)[1]
+
+    def test_matches_doubling_and_naive_across_the_bound(self):
+        for k in range(-_SMALL_K - 2, _SMALL_K + 3):
+            with exact_context():
+                doubled = _fib_pair(k, Decimal(1))
+            assert _fib_pair(k) == tuple(int(v) for v in doubled), k
+            assert fib(k) == term_naive(FIBONACCI, k), k
+
+    def test_decimal_window_at_small_index(self):
+        with exact_context():
+            got = window(SequenceSpec(Decimal(3), Decimal(-4)), 5, 4)
+        assert all(type(v) is Decimal and v == v.to_integral_value() for v in got)
+        assert got == window(SequenceSpec(3, -4), 5, 4)
+
+    def test_window_lists_are_fresh(self):
+        spec = SequenceSpec(2, 1)
+        for m in (-3, 0, 7, _SMALL_K):
+            first = window(spec, m, 2)
+            first.append(0)
+            first[0] += 1
+            assert window(spec, m, 2) == [term_naive(spec, m), term_naive(spec, m + 1)]
 
 
 class TestNaive:

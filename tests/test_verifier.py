@@ -316,6 +316,33 @@ class TestVerificationReport:
         assert VerificationReport(**{**self.FIELDS, name: other}) != VerificationReport(**self.FIELDS)
 
 
+class TestJsonRow:
+    """as_json_row() is json.dumps(as_dict()) byte for byte."""
+
+    BIG = 7 ** 5000  # over render.STR_CUTOFF_BITS
+
+    @pytest.mark.parametrize("fields", [
+        ("sum_g2", 0, 1, 0, 3, "6", "6", True, None),
+        ("recip", 0, 1, 0, 3, None, None, True, "zero term at index 0"),
+        ("recip", 3, -2, -1, 2, "-1/18", None, False, "closed: ok; oracle: x"),
+        ("alt_g5", -3, -5, -7, -4, "-12", "13", False, None),
+        ("sum_g6", 2, 1, 0, 0, "0", "0", None, None),
+        ("fib6", 0, 1, 0, 0, None, None, None, None),
+        ("sum_g2", 1, 1, 0, 0, None, None, False, 'quote " backslash \\ tab \t nul \x00 \x1f'),
+        ("sum_g2", 1, 1, 0, 0, None, None, False, "non-ASCII \u00e9 \u2264 \U0001d53e \x7f"),
+        ("sum_g6", -BIG, BIG, 10**6, -(10**6), str(BIG), f"-{BIG}/{BIG + 2}", True, None),
+    ])
+    def test_equals_json_dumps(self, fields):
+        rep = VerificationReport(*fields)
+        assert rep.as_json_row() == json.dumps(rep.as_dict())
+
+    def test_sweep_rows(self):
+        grid = GridSpec(seeds=((3, -2), (-2, 5)), t_range=(-2, 1), n_range=(-3, 3))
+        for identity_id in ("recip", "alt_g5", "lucas_alt_l5f"):
+            for rep in sweep(identity_id, grid):
+                assert rep.as_json_row() == json.dumps(rep.as_dict())
+
+
 class TestGridSpec:
     def test_valid(self):
         GridSpec(seeds=((0, 1),), t_range=(0, 0), n_range=(0, 3))
