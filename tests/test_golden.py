@@ -85,10 +85,12 @@ CASES = [
     ["eval", "alt_g5", "--g0=2", "--g1=1", "--t=1", "--n=-9", "--method=oracle", "--format=tsv"],
     ["eval", "recip_lucas", "--n=7", "--method=oracle", "--format=tsv"],
     ["eval", "recip", "--g0=3", "--g1=-2", "--n=-9", "--method=oracle"],
+    ["eval", "lucas_alt_l5f", "--n=12", "--method=oracle", "--format=tsv"],  # oracle_scale alone
     # zero-term refusals
     ["eval", "recip", "--n=5"],
     ["eval", "recip", "--g0=3", "--g1=-2", "--t=-1", "--n=7", "--method=both", "--format=tsv"],
     ["eval", "recip", "--g0=3", "--g1=-2", "--t=2", "--n=-9", "--method=oracle"],
+    ["eval", "recip", "--g0=1", "--g1=-1", "--t=3", "--n=-2", "--method=oracle"],  # zero at t-1
     # flags the identity fixes: a warning, then the fixed value
     ["eval", "fib6", "--g0=5", "--g1=2", "--n=7"],
     ["eval", "treeby_f3", "--t=2", "--n=3", "--format=tsv"],
@@ -113,6 +115,8 @@ CASES = [
     ["verify", "sum_g6", "--seeds=517,-802", "--t=3", "--n=2998..3000"],
     ["verify", "alt_g5", "--seeds=2,1", "--t=-1..1", "--n=-3..3", "--format=tsv"],
     ["verify", "recip", "--seeds=3,-2;1,1", "--t=-2..1", "--n=-3..3", "--format=tsv"],
+    # zeros at indices 2 and 4, met by both walks; S(0) never touches t+3
+    ["verify", "recip", "--seeds=1,-1;-3,2", "--t=-1..3", "--n=-3..4", "--format=tsv"],
     # sweep windows straddling |k| = 91, the largest index whose Fibonacci
     # pair (F(k), F(k+1)) fits a signed 64-bit word
     ["verify", "sum_g6", "--seeds=2,1;-3,5", "--t=88..92", "--n=-2..3"],
