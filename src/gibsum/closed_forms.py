@@ -19,8 +19,8 @@ _telescope evaluates any row over any exact number type; `gibsum eval` runs
 it on Decimal seeds in render.exact_context(), so a large value prints
 without an int-to-text conversion. The reciprocal sum (1/P(t) - 1/P(n+t)) / 4,
 P = _triple_square, has a rational end and its own body. Public functions
-call only these two bodies (the specials at fixed seeds and shift) and
-return int or Fraction; every division is checked to be exact.
+call only these two bodies (the specials at fixed seeds and shift). Integer
+sums return an int, the recip family a Fraction; each division is checked exact.
 """
 
 from __future__ import annotations
@@ -143,18 +143,17 @@ def lucas_sixth_closed(t: int, n: int) -> int:
     return _telescope(_SIXTH, LUCAS, t, n)
 
 
-def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
+def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> int:
     """Alternating sum of (-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1)) for j in 1..n.
 
     With P(m) = (G(m) G(m+1) G(m+2))^2 and Q(m) = G(m+1)^4 G(m)^2 the value is
     (-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t) = ((-1)^n D(n+t) - D(t)) / 2.
-    Always an integer (the halving is checked to be exact); returned as a
-    den = 1 rational.
+    Always an integer (the halving is checked to be exact).
     """
-    return Fraction(_telescope(_ALT_FIFTH, spec, t, n))
+    return _telescope(_ALT_FIFTH, spec, t, n)
 
 
-def fib_alt_f5l_closed(n: int) -> Fraction:
+def fib_alt_f5l_closed(n: int) -> int:
     """Alternating sum of (-1)^(j-1) F(j)^5 L(j) for j in 1..n.
 
     Published closed form with the leading sign corrected to (-1)^n:
@@ -163,10 +162,10 @@ def fib_alt_f5l_closed(n: int) -> Fraction:
     This is alt_sum_fifth_closed at Fibonacci seeds and shift 0: D(0) = 0.
     """
     _require_n(n, 0, "fib_alt_f5l_closed")
-    return Fraction(_telescope(_ALT_FIFTH, FIBONACCI, 0, n))
+    return _telescope(_ALT_FIFTH, FIBONACCI, 0, n)
 
 
-def lucas_alt_l5f_closed(n: int) -> Fraction:
+def lucas_alt_l5f_closed(n: int) -> int:
     """Alternating sum of (-1)^(j-1) L(j)^5 F(j) for j in 1..n.
 
     Sign-corrected closed form
@@ -176,7 +175,7 @@ def lucas_alt_l5f_closed(n: int) -> Fraction:
     the two parts cancel to 0, matching the empty sum.
     """
     _require_n(n, 0, "lucas_alt_l5f_closed")
-    return Fraction(_exact_div(_telescope(_ALT_FIFTH, LUCAS, 0, n), 5, "lucas_alt_l5f_closed"))
+    return _exact_div(_telescope(_ALT_FIFTH, LUCAS, 0, n), 5, "lucas_alt_l5f_closed")
 
 
 def sum_cubes_product_closed(spec: SequenceSpec, t: int, n: int) -> int:

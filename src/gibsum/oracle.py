@@ -1,12 +1,13 @@
 """Brute-force term-by-term summation, the ground truth for every identity.
 
-Sums are accumulated one summand at a time over a sliding window of
-consecutive sequence terms. oracle_walk() yields every partial sum of a
-line n_lo..n_hi from one walk, so the whole line costs O(|n_lo| + |n_hi|)
-summands rather than O(|n|) per point; oracle_sum() is its one-point
-case. Nothing here consults a closed form; the only shared code is
-window() from the sequences module, one fast-doubling pass for a run of
-consecutive terms, itself cross-checked against the single-step recurrence.
+Each sum is accumulated one summand at a time over a sliding window of
+consecutive terms, and is an int, or a Fraction for the reciprocal family,
+or the ZeroTermError where that family is undefined. oracle_walk() yields
+every partial sum of a line n_lo..n_hi from one walk, so the whole line
+costs O(|n_lo| + |n_hi|) summands rather than O(|n|) per point; oracle_sum()
+is its one-point case. Nothing here consults a closed form; the only shared
+code is window() from the sequences module, one fast-doubling pass for a run
+of consecutive terms, itself cross-checked against the single-step recurrence.
 """
 
 from __future__ import annotations
@@ -43,22 +44,22 @@ _SUMMANDS = {
 }
 
 
-def oracle_term(kind: SummandKind, spec: SequenceSpec, t: int, j: int) -> Fraction:
-    """The j-th summand of the given family, as an exact rational."""
+def oracle_term(kind: SummandKind, spec: SequenceSpec, t: int, j: int) -> int | Fraction:
+    """The j-th summand of the given family: an int, or a Fraction for recip."""
     m = j + t
     lo, hi, summand = _SUMMANDS[kind]
     terms = window(spec, m + lo, hi - lo + 1)
     if kind is SummandKind.RECIPROCAL_WINDOW and 0 in terms:
         raise ZeroTermError(m + lo + terms.index(0), spec.seeds)
-    return Fraction(summand(terms, j))
+    return summand(terms, j)
 
 
 def oracle_walk(
     kind: SummandKind, spec: SequenceSpec, t: int, n_lo: int, n_hi: int
-) -> list[Fraction | int]:
-    """S(n) for every n in n_lo..n_hi, in order, as a Fraction or, where the
-    reciprocal family touches a zero term ([t, n+t+2] for n >= 0, [n+t, t+2]
-    for n < 0), as the int index of the smallest one.
+) -> list[int | Fraction | ZeroTermError]:
+    """S(n) for every n in n_lo..n_hi, in order: an int, or a Fraction for
+    recip, or the ZeroTermError where the reciprocal family touches a zero
+    term ([t, n+t+2] for n >= 0, [n+t, t+2] for n < 0).
 
     One walk up from j = 1 covers n >= 0, one walk down from j = 0 covers
     n < 0 by S(n-1) = S(n) - summand(n): O(|n_lo| + |n_hi|) summands.
@@ -69,45 +70,47 @@ def oracle_walk(
     if n_hi >= 0:
         # window at j = 1; S(0) touches all of it but the last term
         terms = window(spec, 1 + t + off_lo, off_hi - off_lo + 1)
-        zero = 1 + t + off_lo + terms.index(0) if recip and 0 in terms[:-1] else None
         total = 0
+        if recip and 0 in terms[:-1]:
+            total = ZeroTermError(1 + t + off_lo + terms.index(0), spec.seeds)
         if n_lo <= 0:
-            up.append(Fraction(total) if zero is None else zero)
+            up.append(total)
         for j in range(1, n_hi + 1):
-            if recip and zero is None and terms[-1] == 0:
-                zero = j + t + off_hi
-            if zero is None:
+            if recip and terms[-1] == 0:
+                total = ZeroTermError(j + t + off_hi, spec.seeds)
+            if not isinstance(total, ZeroTermError):
                 total += summand(terms, j)
             if j >= n_lo:
-                up.append(Fraction(total) if zero is None else zero)
+                up.append(total)
             terms.append(terms[-1] + terms[-2])
             terms.pop(0)
     if n_lo < 0:
         # window at j = 0; S(0) touches all of it but the first term
         terms = window(spec, t + off_lo, off_hi - off_lo + 1)
-        zero = t + off_lo + terms.index(0, 1) if recip and 0 in terms[1:] else None
         total = 0
+        if recip and 0 in terms[1:]:
+            total = ZeroTermError(t + off_lo + terms.index(0, 1), spec.seeds)
         for j in range(0, n_lo, -1):  # summand j turns S(j) into S(j-1)
             if recip and terms[0] == 0:
-                zero = j + t + off_lo
-            if zero is None:
+                total = ZeroTermError(j + t + off_lo, spec.seeds)
+            if not isinstance(total, ZeroTermError):
                 total -= summand(terms, j)
             if j - 1 <= n_hi:
-                down.append(Fraction(total) if zero is None else zero)
+                down.append(total)
             terms.insert(0, terms[1] - terms[0])
             terms.pop()
     return down[::-1] + up
 
 
-def oracle_sum(kind: SummandKind, spec: SequenceSpec, t: int, n: int) -> Fraction:
-    """Term-by-term sum of the family over j in 1..n, as an exact rational.
+def oracle_sum(kind: SummandKind, spec: SequenceSpec, t: int, n: int) -> int | Fraction:
+    """Term-by-term sum of the family over j in 1..n: an int, or a Fraction for recip.
 
     Follows the shared partial-sum convention: empty at n = 0, and the
     negated sum over j in n+1..0 for n < 0. For the reciprocal family a
-    zero term anywhere in the touched window raises ZeroTermError naming
-    the smallest such index.
+    zero term anywhere in the touched window raises the ZeroTermError
+    naming the smallest such index.
     """
     (outcome,) = oracle_walk(kind, spec, t, n, n)
-    if not isinstance(outcome, Fraction):
-        raise ZeroTermError(outcome, spec.seeds)
+    if isinstance(outcome, ZeroTermError):
+        raise outcome
     return outcome

@@ -3,8 +3,6 @@ against oracle summand, and the classical point identities, both sides evaluated
 No CLI command uses them; the package imports this module on first use.
 """
 
-from fractions import Fraction
-
 from .errors import ZeroTermError
 from .oracle import oracle_term
 from .sequences import SequenceSpec, characteristic_e, lucas, term, window
@@ -29,7 +27,7 @@ def check_telescoping(
     reports = []
     for n in range(lo, hi + 1):
         try:
-            diff = Fraction(desc.closed(spec, t, n)) - Fraction(desc.closed(spec, t, n - 1))
+            diff = desc.closed(spec, t, n) - desc.closed(spec, t, n - 1)
             expected = oracle_term(desc.kind, spec, t, n) * desc.oracle_scale
         except ZeroTermError as exc:
             reports.append(VerificationReport(

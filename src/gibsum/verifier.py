@@ -125,12 +125,12 @@ class GridSpec:
 class IdentityDescriptor:
     """Registry entry binding an identity id to its closed form and domain.
 
-    ``evaluate`` is the closed-forms function itself. It takes (spec, t, n),
-    or (t, n) when the entry fixes the seeds, or (n,) when it fixes the
-    seeds and the shift; closed() passes the matching arguments. An integer
-    sum is also the row _ROWS gives its kind, at its seeds and shift, over
-    oracle_scale's denominator (1, or 5 for lucas_alt_l5f); closed_text()
-    runs that in decimal.
+    ``evaluate`` is the closed-forms function itself: an int for an integer
+    sum, a Fraction for recip. It takes (spec, t, n), or (t, n) when the
+    entry fixes the seeds, or (n,) when it fixes the seeds and the shift;
+    closed() passes the matching arguments. An integer sum is also the row
+    _ROWS gives its kind, at its seeds and shift, over oracle_scale's
+    denominator (1, or 5 for lucas_alt_l5f); closed_text() runs that in decimal.
     """
 
     id: str
@@ -329,7 +329,8 @@ def effective_inputs(desc: IdentityDescriptor, spec: SequenceSpec, t: int) -> tu
 
 
 def _compare(
-    desc: IdentityDescriptor, spec: SequenceSpec, t: int, n: int, outcome: Fraction | int
+    desc: IdentityDescriptor, spec: SequenceSpec, t: int, n: int,
+    outcome: ExactValue | ZeroTermError,
 ) -> VerificationReport:
     """The report at one point, given the oracle_walk outcome at its n."""
     closed_value = closed_err = None
@@ -338,10 +339,10 @@ def _compare(
     except ZeroTermError as exc:
         closed_err = str(exc)
     oracle_value = oracle_err = None
-    if isinstance(outcome, Fraction):
-        oracle_value = outcome if desc.oracle_scale == 1 else outcome * desc.oracle_scale
+    if isinstance(outcome, ZeroTermError):
+        oracle_err = str(outcome)
     else:
-        oracle_err = str(ZeroTermError(outcome, spec.seeds))
+        oracle_value = outcome if desc.oracle_scale == 1 else outcome * desc.oracle_scale
     if closed_err is None and oracle_err is None:
         match, error = closed_value == oracle_value, None
     elif closed_err == oracle_err:

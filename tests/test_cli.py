@@ -297,8 +297,11 @@ class TestVerify:
 
 
 class TestBench:
-    def test_small_run_with_oracle(self, capsys):
-        code = main(["bench", "sum_g6", "--n", "50", "--repeat", "1"])
+    @pytest.mark.parametrize("identity", verifier.identity_ids())
+    def test_small_run_with_oracle(self, capsys, identity):
+        # seeds (3, -4) have no zero term, so recip is defined at every n
+        point = ["--g0=3", "--g1=-4", "--t=-2"] if identity in SEED_FREE_IDS else []
+        code = main(["bench", identity, *point, "--n", "50", "--repeat", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["match"] is True
@@ -457,21 +460,41 @@ class TestEntryPoints:
         root = Path(__file__).resolve().parents[1]
         src = str(Path(gibsum.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        specials = [d for d in verifier.REGISTRY if d.seeds is not None]
+        forms = verifier.REGISTRY  # the seed-free forms too: alt_g5 returns an int
         jobs, spans = tmp_path / "jobs.json", tmp_path / "spans.json"
-        jobs.write_text(json.dumps([[d.id, 0, 1, 2, 30] for d in specials]))
+        jobs.write_text(json.dumps([[d.id, 0, 1, 2, 30] for d in forms]))
         traced = subprocess.run(
             [sys.executable, str(root / "perfbench" / "api_child.py"), str(jobs), str(spans)],
             capture_output=True, text=True, env=env,
         )
         assert traced.returncode == 0, traced.stderr
         records = [json.loads(line) for line in traced.stdout.splitlines()]
-        assert len(records) == len(specials) and all("num" in r for r in records)
+        assert len(records) == len(forms) and all("num" in r for r in records)
+        integral = [d.kind is not SummandKind.RECIPROCAL_WINDOW for d in forms]
+        assert [r["den"] == 1 for r in records] == integral
         record = json.loads(spans.read_text())
         tracer = _perfbench_tracer()
         closed = tracer.LAYERS.index("closed_forms")
         parents = [p for layer, p in zip(record["layer"], record["parent"]) if layer == closed]
-        assert parents == [-1] * len(specials)
+        assert parents == [-1] * len(forms)
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_closed_pipe_exits_141(self, fmt):
+        # `gibsum verify ... | head -c 1` with over 1 MB of rows: no traceback,
+        # and not 1, which means a mismatch
+        src = str(Path(gibsum.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a plain shell
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gibsum", "verify", "sum_g6",
+             "--t=-2..2", "--n=0..400", f"--format={fmt}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err and b"Exception ignored" not in err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

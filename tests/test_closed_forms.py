@@ -199,7 +199,7 @@ class TestSpecializationCoherence:
     def test_alt_specials_equal_general(self):
         for n in range(0, 61):
             assert fib_alt_f5l_closed(n) == alt_sum_fifth_closed(F, 0, n)
-            assert lucas_alt_l5f_closed(n) == alt_sum_fifth_closed(L, 0, n) / 5
+            assert lucas_alt_l5f_closed(n) == Fraction(alt_sum_fifth_closed(L, 0, n), 5)
 
     def test_treeby_specials_equal_general(self):
         for n in range(0, 61):
@@ -293,7 +293,7 @@ class TestIntegralityGuards:
         for t in range(-5, 6):
             for n in range(-10, 21):
                 assert isinstance(sum_sixth_closed(spec, t, n), int)
-                assert alt_sum_fifth_closed(spec, t, n).denominator == 1
+                assert isinstance(alt_sum_fifth_closed(spec, t, n), int)
                 assert isinstance(sum_cubes_product_closed(spec, t, n), int)
 
 

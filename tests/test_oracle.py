@@ -13,6 +13,7 @@ from gibsum import (
     first_zero_in_window,
     oracle_sum,
     oracle_term,
+    recip_sum_closed,
     reciprocal_window,
     term_naive,
 )
@@ -120,11 +121,53 @@ class TestWalk:
                     if kind is SummandKind.RECIPROCAL_WINDOW:
                         zero = first_zero_in_window(spec, *reciprocal_window(t, n))
                     if zero is not None:
-                        assert not isinstance(outcome, Fraction), (seeds, t, n)
-                        assert outcome == zero, (seeds, t, n)
+                        assert isinstance(outcome, ZeroTermError), (seeds, t, n)
+                        assert outcome.index == zero, (seeds, t, n)
                     else:
-                        assert isinstance(outcome, Fraction), (seeds, t, n)
+                        assert not isinstance(outcome, ZeroTermError), (seeds, t, n)
                         assert outcome == naive_partial_sum(kind, spec, t, n), (seeds, t, n)
+
+
+class TestValueContract:
+    """An outcome is an int, a Fraction for recip, or the ZeroTermError itself."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("line", WALK_LINES)
+    def test_sums_are_ints_but_recip(self, kind, line):
+        for seeds in WALK_SEEDS:
+            spec = SequenceSpec(*seeds)
+            for t in (-8, -1, 0, 5):
+                outcomes = oracle_walk(kind, spec, t, *line)
+                for n, outcome in zip(range(line[0], line[1] + 1), outcomes):
+                    if isinstance(outcome, ZeroTermError):
+                        continue
+                    if kind is SummandKind.RECIPROCAL_WINDOW and n != 0:
+                        assert type(outcome) is Fraction, (seeds, t, n)
+                    else:
+                        assert type(outcome) is int, (seeds, t, n)
+
+    @pytest.mark.parametrize("line", WALK_LINES)
+    def test_error_is_the_closed_forms_error(self, line):
+        kind = SummandKind.RECIPROCAL_WINDOW
+        errors = 0
+        for seeds in WALK_SEEDS:
+            spec = SequenceSpec(*seeds)
+            for t in (-8, -1, 0, 5):
+                outcomes = oracle_walk(kind, spec, t, *line)
+                for n, outcome in zip(range(line[0], line[1] + 1), outcomes):
+                    zero = first_zero_in_window(spec, *reciprocal_window(t, n))
+                    if zero is None:
+                        assert not isinstance(outcome, ZeroTermError), (seeds, t, n)
+                        continue
+                    errors += 1
+                    assert type(outcome) is ZeroTermError, (seeds, t, n)
+                    assert (outcome.index, outcome.seeds) == (zero, spec.seeds), (seeds, t, n)
+                    with pytest.raises(ZeroTermError) as closed:
+                        recip_sum_closed(spec, t, n)
+                    with pytest.raises(ZeroTermError) as summed:
+                        oracle_sum(kind, spec, t, n)
+                    assert str(outcome) == str(closed.value) == str(summed.value), (seeds, t, n)
+        assert errors > 0
 
 
 class TestTelescoping:

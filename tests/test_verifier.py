@@ -254,7 +254,7 @@ class TestVerifyOne:
     def test_denominator_one_fraction_matches(self):
         spec = SequenceSpec(2, 1)
         value = closed_forms.alt_sum_fifth_closed(spec, 1, 3)
-        assert isinstance(value, Fraction) and value.denominator == 1
+        assert type(value) is int
         rep = verify_one("alt_g5", spec, 1, 3)
         assert rep.match and rep.error is None
         assert rep.closed == rep.oracle == str(value.numerator)
