@@ -122,6 +122,12 @@ CASES = [
     ["verify", "sum_g6", "--seeds=2,1;-3,5", "--t=88..92", "--n=-2..3"],
     ["verify", "sum_g6", "--seeds=2,1;-3,5", "--t=-92..-88", "--n=-2..3"],
     ["verify", "recip", "--seeds=2,1", "--t=87..91", "--n=-2..3"],
+    # a special's fixed seeds and shift collapse the grid, with domain rows
+    ["verify", "treeby_l3", "--seeds=3,-2;5,1", "--t=-2..2", "--n=-2..3", "--format=tsv"],
+    ["verify", "recip_lucas", "--seeds=3,-2", "--t=4", "--n=-1..3"],
+    # the exact /5 of lucas_alt_l5f over render.STR_CUTOFF_BITS, in a sweep and in eval
+    ["verify", "lucas_alt_l5f", "--n=2998..3000", "--format=tsv"],
+    ["eval", "lucas_alt_l5f", "--g0=3", "--g1=-4", "--t=9", "--n=3000", "--method=both", "--format=tsv"],
 ]
 
 
