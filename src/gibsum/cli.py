@@ -306,7 +306,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if lift:
         sys.set_int_max_str_digits(_MAX_ARG_DIGITS)
     try:
-        return _run(argv)
+        code = _run(argv)
+        sys.stdout.flush()  # a reader gone before the first write fails here, not at exit
+        return code
     except BrokenPipeError:
         # stdout's reader is gone; point stdout at devnull so the exit-time flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,8 +1,9 @@
 """Identity registry and closed-form-vs-oracle sweeps.
 
-The registry binds each identity id to its closed form, its summand family,
-and its validity domain (fixed seeds, fixed shift, smallest supported n).
-It is the one declaration of an identity; nothing else lists them.
+The registry binds each identity id to its summand family and its validity
+domain (fixed seeds, fixed shift, smallest supported n), and each entry
+evaluates its own closed form. It is the one declaration of an identity;
+nothing else lists them.
 verify_one() compares one grid point, and sweep() walks a whole grid in a
 fixed deterministic order.
 """
@@ -11,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import closed_forms
-from .errors import UnknownIdentityError, ZeroTermError
+from .errors import DomainError, UnknownIdentityError, ZeroTermError
 from .oracle import SummandKind, oracle_walk
 from .render import decimal_text, exact_context, integer_text, to_decimal
 from .sequences import FIBONACCI, LUCAS, SequenceSpec
@@ -123,14 +124,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
-    """Registry entry binding an identity id to its closed form and domain.
+    """Registry entry: an identity id, its summand family and its domain.
 
-    ``evaluate`` is the closed-forms function itself: an int for an integer
-    sum, a Fraction for recip. It takes (spec, t, n), or (t, n) when the
-    entry fixes the seeds, or (n,) when it fixes the seeds and the shift;
-    closed() passes the matching arguments. An integer sum is also the row
-    _ROWS gives its kind, at its seeds and shift, over oracle_scale's
-    denominator (1, or 5 for lucas_alt_l5f); closed_text() runs that in decimal.
+    The entry evaluates its own closed form. An integer sum is the row
+    _ROWS gives its kind, at the entry's seeds and shift, over
+    oracle_scale's denominator (1, or 5 for lucas_alt_l5f); a recip sum is
+    closed_forms.recip_sum_closed. The public closed forms are the library
+    API over the same bodies.
     """
 
     id: str
@@ -138,33 +138,38 @@ class IdentityDescriptor:
     summand: str
     closed_form: str
     source: str
-    evaluate: Callable[..., ExactValue]
     seeds: Optional[SequenceSpec] = None  # fixed seeds; None = seed-free
     fixed_t: Optional[int] = None         # fixed shift; None = t-free
     min_n: Optional[int] = None           # smallest supported n; None = all integers
     oracle_scale: Fraction = Fraction(1)  # closed form = oracle_sum * scale
 
     def closed(self, spec: SequenceSpec, t: int, n: int) -> ExactValue:
-        """The closed form at (spec, t, n), dropping the arguments it fixes."""
-        if self.seeds is None:
-            return self.evaluate(spec, t, n)
-        if self.fixed_t is None:
-            return self.evaluate(t, n)
-        return self.evaluate(n)
+        """The closed form at (spec, t, n), ignoring the arguments the entry fixes."""
+        spec, t = effective_inputs(self, spec, t)
+        return self._value(spec, t, n)
 
     def closed_text(self, spec: SequenceSpec, t: int, n: int) -> str:
         """render_value(self.closed(spec, t, n)), the same text or error.
 
-        spec and t as effective_inputs() gives them. An integer sum in its
-        domain is computed and printed in Decimal from the seeds up, never
-        converted: libmpdec multiplies by NTT where int uses Karatsuba.
+        An integer sum is computed and printed in Decimal from the seeds up,
+        never converted: libmpdec multiplies by NTT where int uses Karatsuba.
         """
-        if self.kind not in _ROWS or self.min_n is not None and n < self.min_n:
-            return render_value(self.closed(spec, t, n))
+        spec, t = effective_inputs(self, spec, t)
+        if self.kind not in _ROWS:
+            return render_value(self._value(spec, t, n))
         with exact_context():
             seeds = SequenceSpec(to_decimal(spec.g0), to_decimal(spec.g1))
-            value = closed_forms._telescope(_ROWS[self.kind], seeds, t, n)
-            return integer_text(closed_forms._exact_div(value, self.oracle_scale.denominator, self.id))
+            return integer_text(self._value(seeds, t, n))
+
+    def _value(self, spec: SequenceSpec, t: int, n: int):
+        if self.min_n is not None and n < self.min_n:
+            raise DomainError(f"identity {self.id} requires n >= {self.min_n}, got {n}")
+        row = _ROWS.get(self.kind)
+        if row is None:  # recip; read off the module per call, so a wrapper set there sees it
+            return closed_forms.recip_sum_closed(spec, t, n)
+        value = closed_forms._telescope(row, spec, t, n)
+        d = self.oracle_scale.denominator
+        return value if d == 1 else closed_forms._exact_div(value, d, self.id)
 
 
 _ROWS = {
@@ -182,7 +187,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="G(j+t)^6",
         closed_form="[G(n+t)^5 G(n+t+3) - G(t)^5 G(t+3) + e^2 (G(n+t)(G(n+t+1)+G(n+t-1)) - G(t)(G(t+1)+G(t-1)))] / 4",
         source="extends the Fibonacci/Lucas sixth-power sums of Ohtsuka and Nakamura (2010)",
-        evaluate=closed_forms.sum_sixth_closed,
     ),
     IdentityDescriptor(
         id="sum_g2",
@@ -190,7 +194,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="G(j+t)^2",
         closed_form="G(n+t) G(n+t+1) - G(t) G(t+1)",
         source="classical telescoping of consecutive-term products",
-        evaluate=closed_forms.sum_squares_closed,
     ),
     IdentityDescriptor(
         id="alt_g5",
@@ -198,7 +201,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="(-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1))",
         closed_form="(-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t), P(m) = (G(m)G(m+1)G(m+2))^2, Q(m) = G(m+1)^4 G(m)^2",
         source="alternating telescoping over the squared triple-product window",
-        evaluate=closed_forms.alt_sum_fifth_closed,
     ),
     IdentityDescriptor(
         id="sum_g3g3",
@@ -206,7 +208,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="G(j+t)^3 G(j+t+1)^3",
         closed_form="(P(n+t) - P(t)) / 4",
         source="extends the cube-product sums of Treeby (2016)",
-        evaluate=closed_forms.sum_cubes_product_closed,
     ),
     IdentityDescriptor(
         id="recip",
@@ -214,7 +215,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="1 / (G(j+t-1)^2 G(j+t) G(j+t+1) G(j+t+2)^2)",
         closed_form="(1/P(t) - 1/P(n+t)) / 4",
         source="reciprocal companion of the cube-product telescoping",
-        evaluate=closed_forms.recip_sum_closed,
     ),
     IdentityDescriptor(
         id="fib6",
@@ -222,7 +222,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="F(j+t)^6",
         closed_form="[F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4",
         source="Ohtsuka and Nakamura (2010), shifted form",
-        evaluate=closed_forms.fib_sixth_closed,
         seeds=FIBONACCI,
     ),
     IdentityDescriptor(
@@ -231,7 +230,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="L(j+t)^6",
         closed_form="[L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4",
         source="Ohtsuka and Nakamura (2010), shifted form",
-        evaluate=closed_forms.lucas_sixth_closed,
         seeds=LUCAS,
     ),
     IdentityDescriptor(
@@ -240,7 +238,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="(-1)^(j-1) F(j)^5 L(j)",
         closed_form="(-1)^n / 2 F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3))",
         source="specialization of alt_g5 at Fibonacci seeds; leading sign corrected (see README)",
-        evaluate=closed_forms.fib_alt_f5l_closed,
         seeds=FIBONACCI,
         fixed_t=0,
         min_n=0,
@@ -251,7 +248,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="(-1)^(j-1) L(j)^5 F(j)",
         closed_form="(-1)^n / 10 L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5",
         source="specialization of alt_g5 at Lucas seeds; leading sign corrected (see README)",
-        evaluate=closed_forms.lucas_alt_l5f_closed,
         seeds=LUCAS,
         fixed_t=0,
         min_n=0,
@@ -263,7 +259,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="F(j)^3 F(j+1)^3",
         closed_form="F(n)^2 F(n+1)^2 F(n+2)^2 / 4",
         source="Treeby (2016)",
-        evaluate=closed_forms.treeby_f3_closed,
         seeds=FIBONACCI,
         fixed_t=0,
         min_n=0,
@@ -274,7 +269,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="L(j)^3 L(j+1)^3",
         closed_form="L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9",
         source="Treeby (2016)",
-        evaluate=closed_forms.treeby_l3_closed,
         seeds=LUCAS,
         fixed_t=0,
         min_n=0,
@@ -285,7 +279,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="1 / (F(j)^2 F(j+1) F(j+2) F(j+3)^2)",
         closed_form="(1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4",
         source="reciprocal companion of Treeby (2016), Fibonacci seeds",
-        evaluate=closed_forms.recip_fib_special,
         seeds=FIBONACCI,
         fixed_t=1,
         min_n=1,
@@ -296,7 +289,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="1 / (L(j)^2 L(j+1) L(j+2) L(j+3)^2)",
         closed_form="(1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4",
         source="reciprocal companion of Treeby (2016), Lucas seeds",
-        evaluate=closed_forms.recip_lucas_special,
         seeds=LUCAS,
         fixed_t=1,
         min_n=1,
@@ -335,7 +327,7 @@ def _compare(
     """The report at one point, given the oracle_walk outcome at its n."""
     closed_value = closed_err = None
     try:
-        closed_value = desc.closed(spec, t, n)
+        closed_value = desc._value(spec, t, n)
     except ZeroTermError as exc:
         closed_err = str(exc)
     oracle_value = oracle_err = None

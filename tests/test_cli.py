@@ -224,8 +224,8 @@ class TestEval:
         assert json.loads(capsys.readouterr().out)["match"] is False
 
     def test_both_compares_the_printed_text(self, capsys, monkeypatch):
-        # only the decimal path is broken, so only a comparison of the text
-        # --method closed prints can see it
+        # the printed text comes from the broken row, and --method both
+        # compares that text with the oracle's
         monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, BROKEN_SQUARES)
         assert main(["eval", "sum_g2", "--n=3"]) == 0
         printed = json.loads(capsys.readouterr().out)["closed"]
@@ -286,14 +286,25 @@ class TestVerify:
         assert main(["verify", "sum_g6", "--n", "5..1"]) == 2
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        broken = dataclasses.replace(
-            verifier.descriptor("sum_g2"), evaluate=lambda spec, t, n: 999
-        )
-        monkeypatch.setitem(verifier._BY_ID, "sum_g2", broken)
+        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, BROKEN_SQUARES)
         code = main(["verify", "sum_g2", "--seeds", "0,1", "--t", "0..0", "--n", "1..3"])
         assert code == 1
         captured = capsys.readouterr()
         assert "sum_g2: 0/3 match" in captured.err
+
+    @pytest.mark.parametrize(
+        "identity", [d.id for d in verifier.REGISTRY if d.kind in verifier._ROWS]
+    )
+    def test_broken_row_fails_verify_and_eval(self, capsys, monkeypatch, identity):
+        # verify checks the same evaluation eval prints; 5 d m keeps the
+        # divisions exact, lucas_alt_l5f's /5 included
+        desc = verifier.descriptor(identity)
+        end, d, alternating, op = verifier._ROWS[desc.kind]
+        broken = (lambda spec, m: end(spec, m) + 5 * d * m, d, alternating, op)
+        monkeypatch.setitem(verifier._ROWS, desc.kind, broken)
+        assert main(["verify", identity, "--n=1..3"]) == 1
+        assert main(["eval", identity, "--n=3", "--method=both"]) == 1
+        assert "0/3 match" in capsys.readouterr().err
 
 
 class TestBench:
@@ -495,6 +506,28 @@ class TestEntryPoints:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert b"Traceback" not in err and b"Exception ignored" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["list"], ["eval", "sum_g6", "--n=5"], ["verify", "sum_g2", "--n=0..3"]],
+        ids=("list", "eval", "verify"),
+    )
+    def test_reader_gone_before_first_write_exits_141(self, argv):
+        # less than a buffer of output, so the first write is a flush; at
+        # interpreter exit it would be past main's handler
+        src = str(Path(gibsum.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gibsum", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

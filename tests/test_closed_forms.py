@@ -1,6 +1,5 @@
 """Closed-form evaluators: frozen values, coherence, and domain errors."""
 
-import dataclasses
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,6 +27,7 @@ from gibsum import (
     treeby_f3_closed,
     treeby_l3_closed,
 )
+from gibsum import closed_forms
 from gibsum.closed_forms import (
     _alt_end,
     _exact_div,
@@ -304,9 +304,8 @@ INTEGER_IDS = tuple(d.id for d in REGISTRY if d.kind is not SummandKind.RECIPROC
 class TestDecimalPath:
     @pytest.mark.parametrize("identity", INTEGER_IDS)
     def test_text_equals_int_path(self, identity):
+        # the entry's one evaluation, over Decimal seeds and over int ones
         desc = descriptor(identity)
-        # without its public function the entry can only print through its row
-        decimal_only = dataclasses.replace(desc, evaluate=None)
         points = {
             effective_inputs(desc, SequenceSpec(*seeds), t)
             for seeds in GRID_SEEDS
@@ -316,7 +315,7 @@ class TestDecimalPath:
         for spec, t in points:
             for n in range(n_lo, FULL_N_RANGE[1] + 1):
                 expected = render_value(desc.closed(spec, t, n))
-                assert decimal_only.closed_text(spec, t, n) == expected, (spec, t, n)
+                assert desc.closed_text(spec, t, n) == expected, (spec, t, n)
 
     @pytest.mark.parametrize("identity", [d.id for d in REGISTRY if d.min_n is not None])
     def test_below_the_domain_raises(self, identity):
@@ -325,9 +324,9 @@ class TestDecimalPath:
             desc.closed_text(desc.seeds, desc.fixed_t, desc.min_n - 1)
 
     @pytest.mark.parametrize("identity", [d.id for d in REGISTRY if d.id not in INTEGER_IDS])
-    def test_recip_family_prints_its_public_function(self, identity):
-        desc = dataclasses.replace(descriptor(identity), evaluate=lambda *args: Fraction(-1, 7))
-        assert desc.closed_text(F, 1, 2) == "-1/7"
+    def test_recip_family_prints_recip_sum_closed(self, monkeypatch, identity):
+        monkeypatch.setattr(closed_forms, "recip_sum_closed", lambda spec, t, n: Fraction(-1, 7))
+        assert descriptor(identity).closed_text(F, 1, 2) == "-1/7"
 
     def test_negative_zero_prints_as_zero(self):
         with exact_context():

@@ -1,6 +1,5 @@
 """Registry, single-point verification, sweeps, and property suites."""
 
-import dataclasses
 import inspect
 import json
 import os
@@ -13,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GRID_SEEDS, TELESCOPE_SEEDS, TELESCOPE_SHIFTS, unlimited_int_str
+from conftest import (
+    FULL_N_RANGE, FULL_T_RANGE, GRID_SEEDS, TELESCOPE_SEEDS, TELESCOPE_SHIFTS, unlimited_int_str,
+)
 from gibsum import (
+    DomainError,
     GridSpec,
     POINT_IDENTITY_IDS,
     REGISTRY,
@@ -54,6 +56,23 @@ SPEC_IDS = (
     "recip_lucas",
 )
 
+# each registry entry's public closed form, the library API over its body
+PUBLIC_FORMS = {
+    "sum_g6": "sum_sixth_closed",
+    "sum_g2": "sum_squares_closed",
+    "alt_g5": "alt_sum_fifth_closed",
+    "sum_g3g3": "sum_cubes_product_closed",
+    "recip": "recip_sum_closed",
+    "fib6": "fib_sixth_closed",
+    "lucas6": "lucas_sixth_closed",
+    "fib_alt_f5l": "fib_alt_f5l_closed",
+    "lucas_alt_l5f": "lucas_alt_l5f_closed",
+    "treeby_f3": "treeby_f3_closed",
+    "treeby_l3": "treeby_l3_closed",
+    "recip_fib": "recip_fib_special",
+    "recip_lucas": "recip_lucas_special",
+}
+
 
 class TestRegistry:
     def test_ids_complete_and_ordered(self):
@@ -63,15 +82,38 @@ class TestRegistry:
         with pytest.raises(UnknownIdentityError):
             descriptor("nope")
 
-    def test_each_closed_form_evaluates_exactly_one_entry(self):
+    def test_each_closed_form_names_exactly_one_entry(self):
         public = [
-            fn for name, fn in inspect.getmembers(closed_forms, inspect.isfunction)
+            name for name, fn in inspect.getmembers(closed_forms, inspect.isfunction)
             if fn.__module__ == closed_forms.__name__ and not name.startswith("_")
         ]
-        evaluators = [d.evaluate for d in REGISTRY]
-        assert len(public) == len(REGISTRY)
-        for fn in public:
-            assert evaluators.count(fn) == 1, fn.__name__
+        assert tuple(PUBLIC_FORMS) == SPEC_IDS
+        assert sorted(PUBLIC_FORMS.values()) == sorted(public)
+
+    @pytest.mark.parametrize("identity", SPEC_IDS)
+    def test_closed_form_equals_its_entry(self, identity):
+        # the library API and the registry evaluate the same bodies; a
+        # special ignores the seeds and shift it fixes, and refuses n below
+        # its domain exactly where its entry does
+        desc, fn = descriptor(identity), getattr(closed_forms, PUBLIC_FORMS[identity])
+
+        def outcome(call, *args):
+            try:
+                return call(*args)
+            except DomainError:
+                return DomainError
+            except ZeroTermError as exc:
+                return str(exc)
+
+        for seeds in GRID_SEEDS:
+            spec = SequenceSpec(*seeds)
+            for t in range(FULL_T_RANGE[0], FULL_T_RANGE[1] + 1):
+                args = (spec, t) if desc.seeds is None else (t,) if desc.fixed_t is None else ()
+                for n in range(-12, FULL_N_RANGE[1] + 1):
+                    expected = outcome(fn, *args, n)
+                    got = outcome(desc.closed, spec, t, n)
+                    assert got == expected and type(got) is type(expected), (spec, t, n)
+                    assert (got is DomainError) == (desc.min_n is not None and n < desc.min_n)
 
     def test_readme_catalog_matches_registry(self):
         # the kernels need not follow the printed shapes, but the shapes the
@@ -231,19 +273,15 @@ class TestVerifyOne:
         assert rep.match and rep.closed == "27"
 
     def test_value_mismatch_reported(self, monkeypatch):
-        broken = dataclasses.replace(
-            descriptor("sum_g2"), evaluate=lambda spec, t, n: 999
-        )
-        monkeypatch.setitem(verifier._BY_ID, "sum_g2", broken)
+        # E(m) = 333 m: S(3) = E(3) - E(0) = 999
+        broken = (lambda spec, m: 333 * m, 1, False, "sum_squares_closed")
+        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, broken)
         rep = verify_one("sum_g2", F, 0, 3)
         assert not rep.match
         assert rep.closed == "999" and rep.oracle == "6" and rep.error is None
 
     def test_fraction_mismatch_renders_each_side(self, monkeypatch):
-        broken = dataclasses.replace(
-            descriptor("recip"), evaluate=lambda spec, t, n: Fraction(1, 7)
-        )
-        monkeypatch.setitem(verifier._BY_ID, "recip", broken)
+        monkeypatch.setattr(closed_forms, "recip_sum_closed", lambda spec, t, n: Fraction(1, 7))
         spec = SequenceSpec(3, -2)
         rep = verify_one("recip", spec, -2, 2)
         expected = oracle_sum(SummandKind.RECIPROCAL_WINDOW, spec, -2, 2)
@@ -260,11 +298,11 @@ class TestVerifyOne:
         assert rep.closed == rep.oracle == str(value.numerator)
 
     def test_one_sided_error_is_mismatch(self, monkeypatch):
-        def explode(spec, t, n):
+        def explode(spec, m):
             raise ZeroTermError(99, spec.seeds)
 
-        broken = dataclasses.replace(descriptor("sum_g2"), evaluate=explode)
-        monkeypatch.setitem(verifier._BY_ID, "sum_g2", broken)
+        broken = (explode, 1, False, "sum_squares_closed")
+        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, broken)
         rep = verify_one("sum_g2", F, 0, 3)
         assert not rep.match
         assert "closed: zero term at index 99" in rep.error
