@@ -231,19 +231,20 @@ class TestShiftCoherence:
 
 class TestDomains:
     @pytest.mark.parametrize(
-        "op,bad_n",
+        "op,bad_n,message",
         [
-            (fib_alt_f5l_closed, -1),
-            (lucas_alt_l5f_closed, -1),
-            (treeby_f3_closed, -1),
-            (treeby_l3_closed, -1),
-            (recip_fib_special, 0),
-            (recip_lucas_special, 0),
+            (fib_alt_f5l_closed, -1, "fib_alt_f5l_closed requires n >= 0, got -1"),
+            (lucas_alt_l5f_closed, -1, "lucas_alt_l5f_closed requires n >= 0, got -1"),
+            (treeby_f3_closed, -1, "treeby_f3_closed requires n >= 0, got -1"),
+            (treeby_l3_closed, -1, "treeby_l3_closed requires n >= 0, got -1"),
+            (recip_fib_special, 0, "recip_fib_special requires n >= 1, got 0"),
+            (recip_lucas_special, 0, "recip_lucas_special requires n >= 1, got 0"),
         ],
     )
-    def test_below_domain_rejected(self, op, bad_n):
-        with pytest.raises(DomainError):
+    def test_below_domain_rejected(self, op, bad_n, message):
+        with pytest.raises(DomainError) as exc:
             op(bad_n)
+        assert str(exc.value) == message
 
     def test_reciprocal_zero_at_origin(self):
         with pytest.raises(ZeroTermError) as exc:
