@@ -145,7 +145,7 @@ def run_bench(
         oracle_times = []
         for _ in range(repeats):
             started = time.perf_counter()
-            oracle_value = oracle_sum(desc.kind, spec, t, n) * desc.oracle_scale
+            oracle_value = desc.from_oracle(oracle_sum(desc.kind, spec, t, n))
             oracle_times.append(time.perf_counter() - started)
         result["oracle_seconds"] = statistics.median(oracle_times)
         result["oracle_value"] = _digest(oracle_value)
@@ -177,13 +177,12 @@ def _cmd_list(args) -> int:
 def _cmd_eval(args) -> int:
     desc, spec, t = _point_inputs(args)
     n = args.n
-    if desc.min_n is not None and n < desc.min_n:
-        raise DomainError(f"identity {desc.id} requires n >= {desc.min_n}, got {n}")
+    desc.require_n(n)
     closed_text = oracle_text = None
     if args.method in ("closed", "both"):
         closed_text = desc.closed_text(spec, t, n)
     if args.method in ("oracle", "both"):
-        oracle_text = render_value(oracle_sum(desc.kind, spec, t, n) * desc.oracle_scale)
+        oracle_text = render_value(desc.from_oracle(oracle_sum(desc.kind, spec, t, n)))
     # both texts are canonical, so equal text means equal value
     match = closed_text == oracle_text if args.method == "both" else None
     if args.format == "tsv":

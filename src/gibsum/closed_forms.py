@@ -18,9 +18,11 @@ S(n) = (sigma(n) E(n+t) - E(t)) / d, sigma(n) = (-1)^n if alternating, else 1:
 _telescope evaluates any row over any exact number type; `gibsum eval` runs
 it on Decimal seeds in render.exact_context(), so a large value prints
 without an int-to-text conversion. The reciprocal sum (1/P(t) - 1/P(n+t)) / 4,
-P = _triple_square, has a rational end and its own body. Public functions
-call only these two bodies (the specials at fixed seeds and shift). Integer
-sums return an int, the recip family a Fraction; each division is checked exact.
+P = _triple_square, has a rational end. SPECIALS declares each Fibonacci/Lucas
+special once, as a general form at fixed seeds (and shift, least n, divisor);
+the special's public function and its registry entry both read that row.
+Integer sums return an int, the recip family a Fraction; each division is
+checked exact.
 """
 
 from __future__ import annotations
@@ -47,11 +49,6 @@ def _exact_div(num, d: int, op: str):
         # keep the huge numerator out of the message; the remainder suffices
         raise IntegralityError(f"{op}: numerator not divisible by {d} (remainder {r})")
     return q
-
-
-def _require_n(n: int, least: int, op: str) -> None:
-    if n < least:
-        raise DomainError(f"{op} requires n >= {least}, got {n}")
 
 
 def _square_end(spec: SequenceSpec, m: int):
@@ -121,28 +118,6 @@ def sum_sixth_closed(spec: SequenceSpec, t: int, n: int) -> int:
     return _telescope(_SIXTH, spec, t, n)
 
 
-def fib_sixth_closed(t: int, n: int) -> int:
-    """Sum of F(j+t)^6 for j in 1..n, in the Fibonacci-only shape.
-
-    Uses F(2k) directly instead of the e^2 term:
-    [F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4.
-    This is sum_sixth_closed at Fibonacci seeds, as e^2 = 1 and
-    F(2k) = F(k)(F(k+1) + F(k-1)).
-    """
-    return _telescope(_SIXTH, FIBONACCI, t, n)
-
-
-def lucas_sixth_closed(t: int, n: int) -> int:
-    """Sum of L(j+t)^6 for j in 1..n, in the Lucas-only shape.
-
-    [L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4;
-    at t = 0 this collapses to (L(n)^5 L(n+3) + 125 F(2n)) / 4 - 32.
-    This is sum_sixth_closed at Lucas seeds, as e^2 = 25 and
-    5 F(2k) = L(k)(L(k+1) + L(k-1)).
-    """
-    return _telescope(_SIXTH, LUCAS, t, n)
-
-
 def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> int:
     """Alternating sum of (-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1)) for j in 1..n.
 
@@ -151,31 +126,6 @@ def alt_sum_fifth_closed(spec: SequenceSpec, t: int, n: int) -> int:
     Always an integer (the halving is checked to be exact).
     """
     return _telescope(_ALT_FIFTH, spec, t, n)
-
-
-def fib_alt_f5l_closed(n: int) -> int:
-    """Alternating sum of (-1)^(j-1) F(j)^5 L(j) for j in 1..n.
-
-    Published closed form with the leading sign corrected to (-1)^n:
-    (-1)^n / 2 * F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3)). The printed
-    (-1)^(n+1) version contradicts the brute-force sum already at n = 1.
-    This is alt_sum_fifth_closed at Fibonacci seeds and shift 0: D(0) = 0.
-    """
-    _require_n(n, 0, "fib_alt_f5l_closed")
-    return _telescope(_ALT_FIFTH, FIBONACCI, 0, n)
-
-
-def lucas_alt_l5f_closed(n: int) -> int:
-    """Alternating sum of (-1)^(j-1) L(j)^5 F(j) for j in 1..n.
-
-    Sign-corrected closed form
-    (-1)^n / 10 * L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5.
-    This is alt_sum_fifth_closed at Lucas seeds and shift 0 over 5, as
-    L(j+1) + L(j-1) = 5 F(j), and 14/5 = 28/10 with 28 = -D(0). At n = 0
-    the two parts cancel to 0, matching the empty sum.
-    """
-    _require_n(n, 0, "lucas_alt_l5f_closed")
-    return _exact_div(_telescope(_ALT_FIFTH, LUCAS, 0, n), 5, "lucas_alt_l5f_closed")
 
 
 def sum_cubes_product_closed(spec: SequenceSpec, t: int, n: int) -> int:
@@ -191,22 +141,82 @@ def recip_sum_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     touch, so this fails on exactly the inputs the brute-force sum fails
     on, naming the same index.
     """
-    lo, hi = reciprocal_window(t, n)
-    zero = first_zero_in_window(spec, lo, hi)
+    zero = first_zero_in_window(spec, *reciprocal_window(t, n))
     if zero is not None:
         raise ZeroTermError(zero, spec.seeds)
-    return _recip_sum(spec, t, n)
+    return (Fraction(1, _triple_square(spec, t)) - Fraction(1, _triple_square(spec, n + t))) / 4
 
 
-def _recip_sum(spec: SequenceSpec, t: int, n: int) -> Fraction:
-    lo, hi = _triple_square(spec, t), _triple_square(spec, n + t)
-    return (Fraction(1, lo) - Fraction(1, hi)) / 4
+# id -> (general form, seeds, shift or None = free, least n or None = all, divisor)
+SPECIALS = {
+    "fib6": (sum_sixth_closed, FIBONACCI, None, None, 1),
+    "lucas6": (sum_sixth_closed, LUCAS, None, None, 1),
+    "fib_alt_f5l": (alt_sum_fifth_closed, FIBONACCI, 0, 0, 1),
+    "lucas_alt_l5f": (alt_sum_fifth_closed, LUCAS, 0, 0, 5),  # L(j+1) + L(j-1) = 5 F(j)
+    "treeby_f3": (sum_cubes_product_closed, FIBONACCI, 0, 0, 1),
+    "treeby_l3": (sum_cubes_product_closed, LUCAS, 0, 0, 1),
+    "recip_fib": (recip_sum_closed, FIBONACCI, 1, 1, 1),
+    "recip_lucas": (recip_sum_closed, LUCAS, 1, 1, 1),
+}
+
+
+def _special(identity: str, op: str, n: int, t: int = 0):
+    """The special's general form at its row's seeds and shift (else t), over its divisor."""
+    form, seeds, shift, least, d = SPECIALS[identity]
+    if least is not None and n < least:
+        raise DomainError(f"{op} requires n >= {least}, got {n}")
+    value = form(seeds, t if shift is None else shift, n)
+    return value if d == 1 else _exact_div(value, d, op)
+
+
+def fib_sixth_closed(t: int, n: int) -> int:
+    """Sum of F(j+t)^6 for j in 1..n, in the Fibonacci-only shape.
+
+    Uses F(2k) directly instead of the e^2 term:
+    [F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4.
+    This is sum_sixth_closed at Fibonacci seeds, as e^2 = 1 and
+    F(2k) = F(k)(F(k+1) + F(k-1)).
+    """
+    return _special("fib6", "fib_sixth_closed", n, t)
+
+
+def lucas_sixth_closed(t: int, n: int) -> int:
+    """Sum of L(j+t)^6 for j in 1..n, in the Lucas-only shape.
+
+    [L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4;
+    at t = 0 this collapses to (L(n)^5 L(n+3) + 125 F(2n)) / 4 - 32.
+    This is sum_sixth_closed at Lucas seeds, as e^2 = 25 and
+    5 F(2k) = L(k)(L(k+1) + L(k-1)).
+    """
+    return _special("lucas6", "lucas_sixth_closed", n, t)
+
+
+def fib_alt_f5l_closed(n: int) -> int:
+    """Alternating sum of (-1)^(j-1) F(j)^5 L(j) for j in 1..n.
+
+    Published closed form with the leading sign corrected to (-1)^n:
+    (-1)^n / 2 * F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3)). The printed
+    (-1)^(n+1) version contradicts the brute-force sum already at n = 1.
+    This is alt_sum_fifth_closed at Fibonacci seeds and shift 0: D(0) = 0.
+    """
+    return _special("fib_alt_f5l", "fib_alt_f5l_closed", n)
+
+
+def lucas_alt_l5f_closed(n: int) -> int:
+    """Alternating sum of (-1)^(j-1) L(j)^5 F(j) for j in 1..n.
+
+    Sign-corrected closed form
+    (-1)^n / 10 * L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5.
+    This is alt_sum_fifth_closed at Lucas seeds and shift 0 over 5, as
+    L(j+1) + L(j-1) = 5 F(j), and 14/5 = 28/10 with 28 = -D(0). At n = 0
+    the two parts cancel to 0, matching the empty sum.
+    """
+    return _special("lucas_alt_l5f", "lucas_alt_l5f_closed", n)
 
 
 def treeby_f3_closed(n: int) -> int:
     """Sum of F(j)^3 F(j+1)^3 for j in 1..n: F(n)^2 F(n+1)^2 F(n+2)^2 / 4."""
-    _require_n(n, 0, "treeby_f3_closed")
-    return _telescope(_CUBES_PRODUCT, FIBONACCI, 0, n)
+    return _special("treeby_f3", "treeby_f3_closed", n)
 
 
 def treeby_l3_closed(n: int) -> int:
@@ -214,8 +224,7 @@ def treeby_l3_closed(n: int) -> int:
 
     This is sum_cubes_product_closed at Lucas seeds and shift 0: 9 = P(0) / 4.
     """
-    _require_n(n, 0, "treeby_l3_closed")
-    return _telescope(_CUBES_PRODUCT, LUCAS, 0, n)
+    return _special("treeby_l3", "treeby_l3_closed", n)
 
 
 def recip_fib_special(n: int) -> Fraction:
@@ -224,8 +233,7 @@ def recip_fib_special(n: int) -> Fraction:
     (1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4: recip_sum_closed at Fibonacci
     seeds and shift 1, where 1/4 = 1/P(1) = 1/(F(1) F(2) F(3))^2.
     """
-    _require_n(n, 1, "recip_fib_special")
-    return _recip_sum(FIBONACCI, 1, n)
+    return _special("recip_fib", "recip_fib_special", n)
 
 
 def recip_lucas_special(n: int) -> Fraction:
@@ -234,5 +242,4 @@ def recip_lucas_special(n: int) -> Fraction:
     (1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4: recip_sum_closed at Lucas
     seeds and shift 1, where 1/144 = 1/P(1) = 1/(L(1) L(2) L(3))^2.
     """
-    _require_n(n, 1, "recip_lucas_special")
-    return _recip_sum(LUCAS, 1, n)
+    return _special("recip_lucas", "recip_lucas_special", n)

@@ -28,7 +28,7 @@ def check_telescoping(
     for n in range(lo, hi + 1):
         try:
             diff = desc.closed(spec, t, n) - desc.closed(spec, t, n - 1)
-            expected = oracle_term(desc.kind, spec, t, n) * desc.oracle_scale
+            expected = desc.from_oracle(oracle_term(desc.kind, spec, t, n))
         except ZeroTermError as exc:
             reports.append(VerificationReport(
                 desc.id, spec.g0, spec.g1, t, n,

@@ -10,7 +10,7 @@ fixed deterministic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -18,7 +18,7 @@ from . import closed_forms
 from .errors import DomainError, UnknownIdentityError, ZeroTermError
 from .oracle import SummandKind, oracle_walk
 from .render import decimal_text, exact_context, integer_text, to_decimal
-from .sequences import FIBONACCI, LUCAS, SequenceSpec
+from .sequences import SequenceSpec
 
 try:  # json.dumps's own escaper; loading json here would add to the peak as cli.py compiles
     from _json import encode_basestring_ascii
@@ -126,9 +126,10 @@ class GridSpec:
 class IdentityDescriptor:
     """Registry entry: an identity id, its summand family and its domain.
 
-    The entry evaluates its own closed form. An integer sum is the row
-    _ROWS gives its kind, at the entry's seeds and shift, over
-    oracle_scale's denominator (1, or 5 for lucas_alt_l5f); a recip sum is
+    A special's domain (seeds, shift, least n, divisor) is its row of
+    closed_forms.SPECIALS, the one declaration. The entry evaluates its own
+    closed form: an integer sum is the row _ROWS gives its kind, at the
+    entry's seeds and shift, over its divisor; a recip sum is
     closed_forms.recip_sum_closed. The public closed forms are the library
     API over the same bodies.
     """
@@ -138,10 +139,24 @@ class IdentityDescriptor:
     summand: str
     closed_form: str
     source: str
-    seeds: Optional[SequenceSpec] = None  # fixed seeds; None = seed-free
-    fixed_t: Optional[int] = None         # fixed shift; None = t-free
-    min_n: Optional[int] = None           # smallest supported n; None = all integers
-    oracle_scale: Fraction = Fraction(1)  # closed form = oracle_sum * scale
+    seeds: Optional[SequenceSpec] = field(init=False)  # fixed seeds; None = seed-free
+    fixed_t: Optional[int] = field(init=False)         # fixed shift; None = t-free
+    min_n: Optional[int] = field(init=False)           # smallest supported n; None = all integers
+    divisor: int = field(init=False)                   # closed form = oracle_sum / divisor
+
+    def __post_init__(self):
+        _, seeds, fixed_t, min_n, divisor = closed_forms.SPECIALS.get(self.id, _GENERAL)
+        # frozen: set the special's fields past __setattr__
+        vars(self).update(seeds=seeds, fixed_t=fixed_t, min_n=min_n, divisor=divisor)
+
+    def require_n(self, n: int) -> None:
+        """Refuse n below the entry's domain."""
+        if self.min_n is not None and n < self.min_n:
+            raise DomainError(f"identity {self.id} requires n >= {self.min_n}, got {n}")
+
+    def from_oracle(self, total: ExactValue) -> ExactValue:
+        """The closed form's value given the oracle's sum of summands."""
+        return total if self.divisor == 1 else Fraction(total, self.divisor)
 
     def closed(self, spec: SequenceSpec, t: int, n: int) -> ExactValue:
         """The closed form at (spec, t, n), ignoring the arguments the entry fixes."""
@@ -162,15 +177,15 @@ class IdentityDescriptor:
             return integer_text(self._value(seeds, t, n))
 
     def _value(self, spec: SequenceSpec, t: int, n: int):
-        if self.min_n is not None and n < self.min_n:
-            raise DomainError(f"identity {self.id} requires n >= {self.min_n}, got {n}")
+        self.require_n(n)
         row = _ROWS.get(self.kind)
         if row is None:  # recip; read off the module per call, so a wrapper set there sees it
             return closed_forms.recip_sum_closed(spec, t, n)
         value = closed_forms._telescope(row, spec, t, n)
-        d = self.oracle_scale.denominator
-        return value if d == 1 else closed_forms._exact_div(value, d, self.id)
+        return value if self.divisor == 1 else closed_forms._exact_div(value, self.divisor, self.id)
 
+
+_GENERAL = (None, None, None, None, 1)  # a seed-free entry's row: no fixed domain, divisor 1
 
 _ROWS = {
     SummandKind.SIXTH_POWER: closed_forms._SIXTH,
@@ -222,7 +237,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="F(j+t)^6",
         closed_form="[F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4",
         source="Ohtsuka and Nakamura (2010), shifted form",
-        seeds=FIBONACCI,
     ),
     IdentityDescriptor(
         id="lucas6",
@@ -230,7 +244,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="L(j+t)^6",
         closed_form="[L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4",
         source="Ohtsuka and Nakamura (2010), shifted form",
-        seeds=LUCAS,
     ),
     IdentityDescriptor(
         id="fib_alt_f5l",
@@ -238,9 +251,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="(-1)^(j-1) F(j)^5 L(j)",
         closed_form="(-1)^n / 2 F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3))",
         source="specialization of alt_g5 at Fibonacci seeds; leading sign corrected (see README)",
-        seeds=FIBONACCI,
-        fixed_t=0,
-        min_n=0,
     ),
     IdentityDescriptor(
         id="lucas_alt_l5f",
@@ -248,10 +258,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="(-1)^(j-1) L(j)^5 F(j)",
         closed_form="(-1)^n / 10 L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5",
         source="specialization of alt_g5 at Lucas seeds; leading sign corrected (see README)",
-        seeds=LUCAS,
-        fixed_t=0,
-        min_n=0,
-        oracle_scale=Fraction(1, 5),  # L(j+1) + L(j-1) = 5 F(j)
     ),
     IdentityDescriptor(
         id="treeby_f3",
@@ -259,9 +265,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="F(j)^3 F(j+1)^3",
         closed_form="F(n)^2 F(n+1)^2 F(n+2)^2 / 4",
         source="Treeby (2016)",
-        seeds=FIBONACCI,
-        fixed_t=0,
-        min_n=0,
     ),
     IdentityDescriptor(
         id="treeby_l3",
@@ -269,9 +272,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="L(j)^3 L(j+1)^3",
         closed_form="L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9",
         source="Treeby (2016)",
-        seeds=LUCAS,
-        fixed_t=0,
-        min_n=0,
     ),
     IdentityDescriptor(
         id="recip_fib",
@@ -279,9 +279,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="1 / (F(j)^2 F(j+1) F(j+2) F(j+3)^2)",
         closed_form="(1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4",
         source="reciprocal companion of Treeby (2016), Fibonacci seeds",
-        seeds=FIBONACCI,
-        fixed_t=1,
-        min_n=1,
     ),
     IdentityDescriptor(
         id="recip_lucas",
@@ -289,9 +286,6 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
         summand="1 / (L(j)^2 L(j+1) L(j+2) L(j+3)^2)",
         closed_form="(1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4",
         source="reciprocal companion of Treeby (2016), Lucas seeds",
-        seeds=LUCAS,
-        fixed_t=1,
-        min_n=1,
     ),
 )
 
@@ -334,7 +328,7 @@ def _compare(
     if isinstance(outcome, ZeroTermError):
         oracle_err = str(outcome)
     else:
-        oracle_value = outcome if desc.oracle_scale == 1 else outcome * desc.oracle_scale
+        oracle_value = desc.from_oracle(outcome)
     if closed_err is None and oracle_err is None:
         match, error = closed_value == oracle_value, None
     elif closed_err == oracle_err:

@@ -85,7 +85,7 @@ CASES = [
     ["eval", "alt_g5", "--g0=2", "--g1=1", "--t=1", "--n=-9", "--method=oracle", "--format=tsv"],
     ["eval", "recip_lucas", "--n=7", "--method=oracle", "--format=tsv"],
     ["eval", "recip", "--g0=3", "--g1=-2", "--n=-9", "--method=oracle"],
-    ["eval", "lucas_alt_l5f", "--n=12", "--method=oracle", "--format=tsv"],  # oracle_scale alone
+    ["eval", "lucas_alt_l5f", "--n=12", "--method=oracle", "--format=tsv"],  # the oracle-side divisor alone
     # zero-term refusals
     ["eval", "recip", "--n=5"],
     ["eval", "recip", "--g0=3", "--g1=-2", "--t=-1", "--n=7", "--method=both", "--format=tsv"],

@@ -92,9 +92,9 @@ class TestRegistry:
 
     @pytest.mark.parametrize("identity", SPEC_IDS)
     def test_closed_form_equals_its_entry(self, identity):
-        # the library API and the registry evaluate the same bodies; a
-        # special ignores the seeds and shift it fixes, and refuses n below
-        # its domain exactly where its entry does
+        # a special's domain is its one SPECIALS row, which both sides read;
+        # what the row cannot say is that its general form is the family the
+        # entry's kind gives _ROWS and the oracle, so both sides are evaluated
         desc, fn = descriptor(identity), getattr(closed_forms, PUBLIC_FORMS[identity])
 
         def outcome(call, *args):
