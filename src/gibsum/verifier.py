@@ -1,9 +1,9 @@
 """Identity registry and closed-form-vs-oracle sweeps.
 
 The registry binds each identity id to its summand family and its validity
-domain (fixed seeds, fixed shift, smallest supported n), and each entry
-evaluates its own closed form. It is the one declaration of an identity;
-nothing else lists them.
+domain (fixed seeds, fixed shift, smallest supported n, read from a special's
+closed_forms.SPECIALS row), and each entry evaluates its own closed form. It
+is the one list of identities.
 verify_one() compares one grid point, and sweep() walks a whole grid in a
 fixed deterministic order.
 """
