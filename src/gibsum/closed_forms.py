@@ -18,9 +18,11 @@ S(n) = (sigma(n) E(n+t) - E(t)) / d, sigma(n) = (-1)^n if alternating, else 1:
 _telescope evaluates any row over any exact number type; `gibsum eval` runs
 it on Decimal seeds in render.exact_context(), so a large value prints
 without an int-to-text conversion. The reciprocal sum (1/P(t) - 1/P(n+t)) / 4,
-P = _triple_square, has a rational end. SPECIALS declares each Fibonacci/Lucas
-special once, as a general form at fixed seeds (and shift, least n, divisor);
-the special's public function and its registry entry both read that row.
+P = _triple_square, has a rational end. The registry evaluates these five
+general forms, one per summand family (verifier._FORMS). SPECIALS declares
+each Fibonacci/Lucas special once, as a general form at fixed seeds (and
+shift, least n, divisor); the special's public function reads that row, and
+its registry entry takes its family and domain from it.
 Integer sums return an int, the recip family a Fraction; each division is
 checked exact.
 """
@@ -42,7 +44,9 @@ from .sequences import (
 
 
 def _exact_div(num, d: int, op: str):
-    # the remainder is the check: a Decimal num / d is exact for d in {1, 2, 4, 5}
+    if d == 1:  # a Fraction too
+        return num
+    # the remainder is the check: a Decimal num / d is exact for d in {2, 4, 5}
     # and raises no Inexact, and on a Decimal divmod truncates toward zero
     q, r = divmod(num, d)
     if r:
@@ -165,8 +169,7 @@ def _special(identity: str, op: str, n: int, t: int = 0):
     form, seeds, shift, least, d = SPECIALS[identity]
     if least is not None and n < least:
         raise DomainError(f"{op} requires n >= {least}, got {n}")
-    value = form(seeds, t if shift is None else shift, n)
-    return value if d == 1 else _exact_div(value, d, op)
+    return _exact_div(form(seeds, t if shift is None else shift, n), d, op)
 
 
 def fib_sixth_closed(t: int, n: int) -> int:

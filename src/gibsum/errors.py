@@ -20,6 +20,10 @@ class ZeroTermError(ArithmeticError):
             where = f" for seeds ({decimal_text(seeds[0])}, {decimal_text(seeds[1])})"
         super().__init__(f"zero term at index {index}{where}")
 
+    def __reduce__(self):
+        # args holds the message: copy and pickle rebuild from the fields
+        return type(self), (self.index, self.seeds)
+
 
 class IntegralityError(ArithmeticError):
     """An integer-valued closed form failed its exact-divisibility check.

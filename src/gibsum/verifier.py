@@ -1,9 +1,9 @@
 """Identity registry and closed-form-vs-oracle sweeps.
 
 The registry binds each identity id to its summand family and its validity
-domain (fixed seeds, fixed shift, smallest supported n, read from a special's
-closed_forms.SPECIALS row), and each entry evaluates its own closed form. It
-is the one list of identities.
+domain (fixed seeds, fixed shift, smallest supported n); a special's are
+read from its closed_forms.SPECIALS row. Each entry evaluates its family's
+public general form, _FORMS[kind]. It is the one list of identities.
 verify_one() compares one grid point, and sweep() walks a whole grid in a
 fixed deterministic order.
 """
@@ -126,28 +126,28 @@ class GridSpec:
 class IdentityDescriptor:
     """Registry entry: an identity id, its summand family and its domain.
 
-    A special's domain (seeds, shift, least n, divisor) is its row of
-    closed_forms.SPECIALS, the one declaration. The entry evaluates its own
-    closed form: an integer sum is the row _ROWS gives its kind, at the
-    entry's seeds and shift, over its divisor; a recip sum is
-    closed_forms.recip_sum_closed. The public closed forms are the library
-    API over the same bodies.
+    A special's family and domain (seeds, shift, least n, divisor) come
+    from its row of closed_forms.SPECIALS, the one declaration. The entry
+    evaluates its family's general form, _FORMS[kind], at its seeds and
+    shift, over its divisor. The public closed forms are the library API
+    over the same bodies.
     """
 
     id: str
-    kind: SummandKind
     summand: str
     closed_form: str
     source: str
+    kind: Optional[SummandKind] = None                 # a special's: from its SPECIALS row
     seeds: Optional[SequenceSpec] = field(init=False)  # fixed seeds; None = seed-free
     fixed_t: Optional[int] = field(init=False)         # fixed shift; None = t-free
     min_n: Optional[int] = field(init=False)           # smallest supported n; None = all integers
     divisor: int = field(init=False)                   # closed form = oracle_sum / divisor
 
     def __post_init__(self):
-        _, seeds, fixed_t, min_n, divisor = closed_forms.SPECIALS.get(self.id, _GENERAL)
+        form, seeds, fixed_t, min_n, divisor = closed_forms.SPECIALS.get(self.id, _GENERAL)
+        kind = next((k for k, f in _FORMS.items() if f is form), self.kind)
         # frozen: set the special's fields past __setattr__
-        vars(self).update(seeds=seeds, fixed_t=fixed_t, min_n=min_n, divisor=divisor)
+        vars(self).update(kind=kind, seeds=seeds, fixed_t=fixed_t, min_n=min_n, divisor=divisor)
 
     def require_n(self, n: int) -> None:
         """Refuse n below the entry's domain."""
@@ -170,7 +170,7 @@ class IdentityDescriptor:
         never converted: libmpdec multiplies by NTT where int uses Karatsuba.
         """
         spec, t = effective_inputs(self, spec, t)
-        if self.kind not in _ROWS:
+        if self.kind is SummandKind.RECIPROCAL_WINDOW:
             return render_value(self._value(spec, t, n))
         with exact_context():
             seeds = SequenceSpec(to_decimal(spec.g0), to_decimal(spec.g1))
@@ -178,20 +178,17 @@ class IdentityDescriptor:
 
     def _value(self, spec: SequenceSpec, t: int, n: int):
         self.require_n(n)
-        row = _ROWS.get(self.kind)
-        if row is None:  # recip; read off the module per call, so a wrapper set there sees it
-            return closed_forms.recip_sum_closed(spec, t, n)
-        value = closed_forms._telescope(row, spec, t, n)
-        return value if self.divisor == 1 else closed_forms._exact_div(value, self.divisor, self.id)
+        return closed_forms._exact_div(_FORMS[self.kind](spec, t, n), self.divisor, self.id)
 
 
 _GENERAL = (None, None, None, None, 1)  # a seed-free entry's row: no fixed domain, divisor 1
 
-_ROWS = {
-    SummandKind.SIXTH_POWER: closed_forms._SIXTH,
-    SummandKind.SQUARE: closed_forms._SQUARES,
-    SummandKind.ALT_FIFTH_NEIGHBOR: closed_forms._ALT_FIFTH,
-    SummandKind.CUBE_PRODUCT: closed_forms._CUBES_PRODUCT,
+_FORMS = {  # each summand family's public general form
+    SummandKind.SIXTH_POWER: closed_forms.sum_sixth_closed,
+    SummandKind.SQUARE: closed_forms.sum_squares_closed,
+    SummandKind.ALT_FIFTH_NEIGHBOR: closed_forms.alt_sum_fifth_closed,
+    SummandKind.CUBE_PRODUCT: closed_forms.sum_cubes_product_closed,
+    SummandKind.RECIPROCAL_WINDOW: closed_forms.recip_sum_closed,
 }
 
 
@@ -233,56 +230,48 @@ REGISTRY: tuple[IdentityDescriptor, ...] = (
     ),
     IdentityDescriptor(
         id="fib6",
-        kind=SummandKind.SIXTH_POWER,
         summand="F(j+t)^6",
         closed_form="[F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4",
         source="Ohtsuka and Nakamura (2010), shifted form",
     ),
     IdentityDescriptor(
         id="lucas6",
-        kind=SummandKind.SIXTH_POWER,
         summand="L(j+t)^6",
         closed_form="[L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4",
         source="Ohtsuka and Nakamura (2010), shifted form",
     ),
     IdentityDescriptor(
         id="fib_alt_f5l",
-        kind=SummandKind.ALT_FIFTH_NEIGHBOR,
         summand="(-1)^(j-1) F(j)^5 L(j)",
         closed_form="(-1)^n / 2 F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3))",
         source="specialization of alt_g5 at Fibonacci seeds; leading sign corrected (see README)",
     ),
     IdentityDescriptor(
         id="lucas_alt_l5f",
-        kind=SummandKind.ALT_FIFTH_NEIGHBOR,
         summand="(-1)^(j-1) L(j)^5 F(j)",
         closed_form="(-1)^n / 10 L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5",
         source="specialization of alt_g5 at Lucas seeds; leading sign corrected (see README)",
     ),
     IdentityDescriptor(
         id="treeby_f3",
-        kind=SummandKind.CUBE_PRODUCT,
         summand="F(j)^3 F(j+1)^3",
         closed_form="F(n)^2 F(n+1)^2 F(n+2)^2 / 4",
         source="Treeby (2016)",
     ),
     IdentityDescriptor(
         id="treeby_l3",
-        kind=SummandKind.CUBE_PRODUCT,
         summand="L(j)^3 L(j+1)^3",
         closed_form="L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9",
         source="Treeby (2016)",
     ),
     IdentityDescriptor(
         id="recip_fib",
-        kind=SummandKind.RECIPROCAL_WINDOW,
         summand="1 / (F(j)^2 F(j+1) F(j+2) F(j+3)^2)",
         closed_form="(1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4",
         source="reciprocal companion of Treeby (2016), Fibonacci seeds",
     ),
     IdentityDescriptor(
         id="recip_lucas",
-        kind=SummandKind.RECIPROCAL_WINDOW,
         summand="1 / (L(j)^2 L(j+1) L(j+2) L(j+3)^2)",
         closed_form="(1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4",
         source="reciprocal companion of Treeby (2016), Lucas seeds",

@@ -14,7 +14,7 @@ import pytest
 
 import gibsum
 from conftest import unlimited_int_str
-from gibsum import SummandKind, ZeroTermError, verifier
+from gibsum import SummandKind, ZeroTermError, closed_forms, verifier
 from gibsum.cli import main, run_bench, _digest, _parse_range, _parse_seeds
 
 
@@ -100,6 +100,13 @@ class TestList:
 
 # a squares row whose end is wrong: S(3) = (E(3) - E(0)) / 1 = 999 at t = 0
 BROKEN_SQUARES = (lambda spec, m: 333 * m, 1, False, "sum_squares_closed")
+# each integer family's telescoping row in closed_forms
+ROWS = {
+    SummandKind.SIXTH_POWER: "_SIXTH",
+    SummandKind.SQUARE: "_SQUARES",
+    SummandKind.ALT_FIFTH_NEIGHBOR: "_ALT_FIFTH",
+    SummandKind.CUBE_PRODUCT: "_CUBES_PRODUCT",
+}
 
 
 class TestEval:
@@ -218,7 +225,7 @@ class TestEval:
         assert digits[-30:] == str(expected).zfill(30)
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, BROKEN_SQUARES)
+        monkeypatch.setattr(closed_forms, "_SQUARES", BROKEN_SQUARES)
         code = main(["eval", "sum_g2", "--n", "3", "--method", "both"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["match"] is False
@@ -226,7 +233,7 @@ class TestEval:
     def test_both_compares_the_printed_text(self, capsys, monkeypatch):
         # the printed text comes from the broken row, and --method both
         # compares that text with the oracle's
-        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, BROKEN_SQUARES)
+        monkeypatch.setattr(closed_forms, "_SQUARES", BROKEN_SQUARES)
         assert main(["eval", "sum_g2", "--n=3"]) == 0
         printed = json.loads(capsys.readouterr().out)["closed"]
         assert printed == "999"
@@ -286,22 +293,22 @@ class TestVerify:
         assert main(["verify", "sum_g6", "--n", "5..1"]) == 2
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, BROKEN_SQUARES)
+        monkeypatch.setattr(closed_forms, "_SQUARES", BROKEN_SQUARES)
         code = main(["verify", "sum_g2", "--seeds", "0,1", "--t", "0..0", "--n", "1..3"])
         assert code == 1
         captured = capsys.readouterr()
         assert "sum_g2: 0/3 match" in captured.err
 
     @pytest.mark.parametrize(
-        "identity", [d.id for d in verifier.REGISTRY if d.kind in verifier._ROWS]
+        "identity", [d.id for d in verifier.REGISTRY if d.kind in ROWS]
     )
     def test_broken_row_fails_verify_and_eval(self, capsys, monkeypatch, identity):
         # verify checks the same evaluation eval prints; 5 d m keeps the
         # divisions exact, lucas_alt_l5f's /5 included
         desc = verifier.descriptor(identity)
-        end, d, alternating, op = verifier._ROWS[desc.kind]
+        end, d, alternating, op = getattr(closed_forms, ROWS[desc.kind])
         broken = (lambda spec, m: end(spec, m) + 5 * d * m, d, alternating, op)
-        monkeypatch.setitem(verifier._ROWS, desc.kind, broken)
+        monkeypatch.setattr(closed_forms, ROWS[desc.kind], broken)
         assert main(["verify", identity, "--n=1..3"]) == 1
         assert main(["eval", identity, "--n=3", "--method=both"]) == 1
         assert "0/3 match" in capsys.readouterr().err

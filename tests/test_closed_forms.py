@@ -1,5 +1,7 @@
 """Closed-form evaluators: frozen values, coherence, and domain errors."""
 
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from gibsum import (
     treeby_f3_closed,
     treeby_l3_closed,
 )
-from gibsum import closed_forms
+from gibsum import closed_forms, verifier
 from gibsum.closed_forms import (
     _alt_end,
     _exact_div,
@@ -263,6 +265,14 @@ class TestDomains:
             recip_sum_closed(SequenceSpec(1, -1), 0, 5)
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize("seeds", [(1, -1), None])
+    def test_zero_term_error_survives_copy_and_pickle(self, seeds):
+        exc = ZeroTermError(2, seeds)
+        for clone in (copy.copy(exc), copy.deepcopy(exc), pickle.loads(pickle.dumps(exc))):
+            assert type(clone) is ZeroTermError and str(clone) == str(exc)
+            assert (clone.index, clone.seeds) == (2, seeds)
+        assert str(exc) == "zero term at index 2" + (" for seeds (1, -1)" if seeds else "")
+
     def test_reciprocal_empty_sum_with_clean_window_is_zero(self):
         assert recip_sum_closed(F, 1, 0) == 0
 
@@ -326,7 +336,8 @@ class TestDecimalPath:
 
     @pytest.mark.parametrize("identity", [d.id for d in REGISTRY if d.id not in INTEGER_IDS])
     def test_recip_family_prints_recip_sum_closed(self, monkeypatch, identity):
-        monkeypatch.setattr(closed_forms, "recip_sum_closed", lambda spec, t, n: Fraction(-1, 7))
+        broken = lambda spec, t, n: Fraction(-1, 7)  # noqa: E731
+        monkeypatch.setitem(verifier._FORMS, SummandKind.RECIPROCAL_WINDOW, broken)
         assert descriptor(identity).closed_text(F, 1, 2) == "-1/7"
 
     def test_negative_zero_prints_as_zero(self):

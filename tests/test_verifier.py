@@ -92,9 +92,10 @@ class TestRegistry:
 
     @pytest.mark.parametrize("identity", SPEC_IDS)
     def test_closed_form_equals_its_entry(self, identity):
-        # a special's domain is its one SPECIALS row, which both sides read;
-        # what the row cannot say is that its general form is the family the
-        # entry's kind gives _ROWS and the oracle, so both sides are evaluated
+        # both sides evaluate the same general form: a special's is its one
+        # SPECIALS row, a general entry's the one _FORMS gives its kind; what
+        # is left is that they apply it alike, so both sides are evaluated:
+        # the same value and type, zero-term error and domain boundary
         desc, fn = descriptor(identity), getattr(closed_forms, PUBLIC_FORMS[identity])
 
         def outcome(call, *args):
@@ -275,13 +276,14 @@ class TestVerifyOne:
     def test_value_mismatch_reported(self, monkeypatch):
         # E(m) = 333 m: S(3) = E(3) - E(0) = 999
         broken = (lambda spec, m: 333 * m, 1, False, "sum_squares_closed")
-        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, broken)
+        monkeypatch.setattr(closed_forms, "_SQUARES", broken)
         rep = verify_one("sum_g2", F, 0, 3)
         assert not rep.match
         assert rep.closed == "999" and rep.oracle == "6" and rep.error is None
 
     def test_fraction_mismatch_renders_each_side(self, monkeypatch):
-        monkeypatch.setattr(closed_forms, "recip_sum_closed", lambda spec, t, n: Fraction(1, 7))
+        broken = lambda spec, t, n: Fraction(1, 7)  # noqa: E731
+        monkeypatch.setitem(verifier._FORMS, SummandKind.RECIPROCAL_WINDOW, broken)
         spec = SequenceSpec(3, -2)
         rep = verify_one("recip", spec, -2, 2)
         expected = oracle_sum(SummandKind.RECIPROCAL_WINDOW, spec, -2, 2)
@@ -302,7 +304,7 @@ class TestVerifyOne:
             raise ZeroTermError(99, spec.seeds)
 
         broken = (explode, 1, False, "sum_squares_closed")
-        monkeypatch.setitem(verifier._ROWS, SummandKind.SQUARE, broken)
+        monkeypatch.setattr(closed_forms, "_SQUARES", broken)
         rep = verify_one("sum_g2", F, 0, 3)
         assert not rep.match
         assert "closed: zero term at index 99" in rep.error
