@@ -310,7 +310,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
     except BrokenPipeError:
         # stdout's reader is gone; point stdout at devnull so the exit-time flush stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141  # 128 + SIGPIPE, what a shell shows for a writer a closed pipe killed
     finally:
         if lift:
@@ -330,7 +332,3 @@ def _run(argv: Optional[list[str]]) -> int:
     except (DomainError, UnknownIdentityError, ZeroTermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, flag handling."""
 
 import dataclasses
+import gc
 import importlib.util
 import json
 import os
@@ -535,6 +536,56 @@ class TestEntryPoints:
             os.close(write_end)
         assert proc.returncode == 141
         assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_pipe_leaks_no_descriptor(self, monkeypatch):
+        # in process, each call on a pipe of its own whose reader is gone:
+        # main points that pipe's descriptor at devnull and keeps no other
+        def call():
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with open(write_end, "w") as stdout, monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                return main(["verify", "sum_g2", "--n=0..200"])
+
+        before = len(os.listdir("/proc/self/fd"))
+        codes = [call() for _ in range(3)]
+        assert codes == [141] * 3
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        # freezing an embedding caller's heap would keep its garbage cycles
+        # forever; only the process entry freezes
+        frozen = gc.get_freeze_count()
+        assert main(["list"]) == 0
+        assert main(["verify", "sum_g2", "--n=0..3"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("argv", [["eval", "sum_g6", "--n=5"], ["eval", "recip", "--n=5"]],
+                             ids=("exit0", "exit2"))
+    def test_process_entry_returns_the_exit_code(self, capsys, argv):
+        src = str(Path(gibsum.__file__).parents[1])
+        script = (
+            "import gc, sys; from gibsum.__main__ import run; "
+            f"sys.argv[1:] = {argv!r}; code = run(); "
+            "print(code, gc.get_freeze_count() > 0, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        expected = main(argv)
+        assert proc.stderr.split()[-2:] == [str(expected), "True"]
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_script_runs_the_process_entry(self):
+        # the installed script and python -m gibsum end through one function
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts["gibsum"] == "gibsum.__main__:run"
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

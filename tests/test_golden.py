@@ -1,6 +1,7 @@
 """Golden CLI transcript: stdout, stderr and exit code of fixed `gibsum` calls.
 
-Each call runs `cli.main` in process. The expected transcript is
+Each call runs `cli.main` in process; PROCESS_CASES also run through
+`python -m gibsum`, the process entry. The expected transcript is
 golden_cli.json next to this file, in the order of CASES. Timings and
 --help text are left out: the first changes from run to run, the second
 with the terminal width. After a deliberate change to CLI output,
@@ -11,11 +12,15 @@ regenerate the transcript and review its diff:
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import gibsum
 from gibsum.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -139,6 +144,28 @@ def run(argv):
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+# run again as processes: the shutdown after main returns must not change a byte
+PROCESS_CASES = [
+    ["list"],
+    ["eval", "sum_g2", "--g0=2", "--g1=1", "--t=3", "--n=9000", "--method=both"],
+    ["eval", "recip", "--n=5"],
+    ["bench", "nope", "--n=3"],
+    ["verify", "all", *GRID],
+    ["verify", "recip", "--seeds=1,-1;-3,2", "--t=-1..3", "--n=-3..4", "--format=tsv"],
+]
+
+
+def run_process(argv):
+    """stdout, stderr and exit code of one `python -m gibsum` process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gibsum.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a plain shell
+    proc = subprocess.run(
+        [sys.executable, "-m", "gibsum", *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+    )
+    return {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
 @pytest.fixture(scope="module")
 def transcript():
     with GOLDEN.open(encoding="utf-8") as fh:
@@ -152,6 +179,19 @@ def test_transcript_covers_cases(transcript):
 @pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: " ".join(CASES[i]))
 def test_golden(index, transcript):
     assert run(CASES[index]) == transcript[index]
+
+
+@pytest.mark.parametrize("argv", PROCESS_CASES, ids=" ".join)
+def test_golden_process(argv, transcript):
+    assert run_process(argv) == transcript[CASES.index(argv)]
+
+
+def test_process_flushes_large_output():
+    # over 1 MB through a block-buffered stdout, whole after the freeze
+    argv = ["verify", "sum_g6", "--t=-2..2", "--n=0..400"]
+    process = run_process(argv)
+    assert len(process["stdout"]) > 1_000_000
+    assert process == run(argv)
 
 
 if __name__ == "__main__":
