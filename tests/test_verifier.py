@@ -1,5 +1,6 @@
 """Registry, single-point verification, sweeps, and property suites."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -89,6 +90,19 @@ class TestRegistry:
         ]
         assert tuple(PUBLIC_FORMS) == SPEC_IDS
         assert sorted(PUBLIC_FORMS.values()) == sorted(public)
+
+    @pytest.mark.parametrize("desc", REGISTRY, ids=SPEC_IDS)
+    def test_entry_contract(self, desc):
+        # every caller in a process shares the entries, so none is rebound;
+        # perfbench/tracer.py wraps the callables dataclasses.fields() of an
+        # entry holds, and evaluation must not go through such a field
+        for name in ("id", "kind", "seeds", "fixed_t", "min_n", "divisor", "other"):
+            with pytest.raises(AttributeError):
+                setattr(desc, name, None)
+            with pytest.raises(AttributeError):
+                delattr(desc, name)
+        assert not [f.name for f in dataclasses.fields(desc) if callable(getattr(desc, f.name))]
+        assert repr(desc).startswith(f"IdentityDescriptor(id={desc.id!r}, ")
 
     @pytest.mark.parametrize("identity", SPEC_IDS)
     def test_closed_form_equals_its_entry(self, identity):
