@@ -10,11 +10,9 @@ early (`gibsum ... | head`).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from typing import Optional
 
 from .errors import DomainError, UnknownIdentityError, ZeroTermError
 from .oracle import oracle_sum
@@ -105,7 +103,7 @@ def _digest(value) -> dict:
 
 def run_bench(
     identity_id: str,
-    spec: Optional[SequenceSpec] = None,
+    spec: SequenceSpec | None = None,
     t: int = 0,
     n: int = 1,
     repeats: int = 5,
@@ -161,6 +159,7 @@ def run_bench(
 
 
 def _cmd_list(args) -> int:
+    import json  # list, eval and bench only: verify formats its rows itself
     rows = [
         {"id": d.id, "summand": d.summand, "closed_form": d.closed_form, "source": d.source}
         for d in REGISTRY
@@ -175,6 +174,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    import json
     desc, spec, t = _point_inputs(args)
     n = args.n
     desc.require_n(n)
@@ -246,6 +246,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import json
     desc, spec, t = _point_inputs(args)
     result = run_bench(
         desc.id, spec, t, args.n, repeats=args.repeat, force_oracle=args.force_oracle
@@ -298,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     # the cap is process-wide: restore it on return
     previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     lift = 0 < previous < _MAX_ARG_DIGITS
@@ -319,7 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.set_int_max_str_digits(previous)
 
 
-def _run(argv: Optional[list[str]]) -> int:
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,9 +10,7 @@ fixed deterministic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
 
 from . import closed_forms
 from .errors import DomainError, UnknownIdentityError, ZeroTermError
@@ -20,12 +18,12 @@ from .oracle import SummandKind, oracle_walk
 from .render import decimal_text, exact_context, integer_text, to_decimal
 from .sequences import SequenceSpec
 
-try:  # json.dumps's own escaper; loading json here would add to the peak as cli.py compiles
+try:  # json.dumps's own escaper, without loading json: verify never needs it
     from _json import encode_basestring_ascii
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
-ExactValue = Union[int, Fraction]
+ExactValue = int | Fraction
 
 
 def render_value(value: ExactValue) -> str:
@@ -47,8 +45,8 @@ class VerificationReport:
     __slots__ = TSV_COLUMNS
 
     def __init__(
-        self, identity: str, g0: int, g1: int, t: int, n: int, closed: Optional[str],
-        oracle: Optional[str], match: Optional[bool], error: Optional[str] = None,
+        self, identity: str, g0: int, g1: int, t: int, n: int, closed: str | None,
+        oracle: str | None, match: bool | None, error: str | None = None,
     ):
         self.identity, self.g0, self.g1, self.t, self.n = identity, g0, g1, t, n
         self.closed, self.oracle, self.match, self.error = closed, oracle, match, error
@@ -122,32 +120,33 @@ class GridSpec:
         self.seeds, self.t_range, self.n_range = seeds, t_range, n_range
 
 
-@dataclass(frozen=True)
 class IdentityDescriptor:
     """Registry entry: an identity id, its summand family and its domain.
 
-    A special's family and domain (seeds, shift, least n, divisor) come
-    from its row of closed_forms.SPECIALS, the one declaration. The entry
-    evaluates its family's general form, _FORMS[kind], at its seeds and
-    shift, over its divisor. The public closed forms are the library API
-    over the same bodies.
+    seeds, fixed_t and min_n fix the seeds, the shift and the least n (None
+    = free); the closed form is the oracle's sum over divisor. A special's
+    kind and domain come from its closed_forms.SPECIALS row, the one
+    declaration. It evaluates _FORMS[kind]. Immutable, compared by identity.
     """
 
-    id: str
-    summand: str
-    closed_form: str
-    source: str
-    kind: Optional[SummandKind] = None                 # a special's: from its SPECIALS row
-    seeds: Optional[SequenceSpec] = field(init=False)  # fixed seeds; None = seed-free
-    fixed_t: Optional[int] = field(init=False)         # fixed shift; None = t-free
-    min_n: Optional[int] = field(init=False)           # smallest supported n; None = all integers
-    divisor: int = field(init=False)                   # closed form = oracle_sum / divisor
+    __slots__ = (
+        "id", "summand", "closed_form", "source", "kind", "seeds", "fixed_t", "min_n", "divisor")
+    __dataclass_fields__ = {}  # perfbench/tracer.py calls dataclasses.fields() on each entry
 
-    def __post_init__(self):
-        form, seeds, fixed_t, min_n, divisor = closed_forms.SPECIALS.get(self.id, _GENERAL)
-        kind = next((k for k, f in _FORMS.items() if f is form), self.kind)
-        # frozen: set the special's fields past __setattr__
-        vars(self).update(kind=kind, seeds=seeds, fixed_t=fixed_t, min_n=min_n, divisor=divisor)
+    def __init__(self, id: str, summand: str, closed_form: str, source: str, kind=None):
+        form, *domain = closed_forms.SPECIALS.get(id, _GENERAL)
+        kind = next((k for k, f in _FORMS.items() if f is form), kind)
+        for name, value in zip(self.__slots__, (id, summand, closed_form, source, kind, *domain)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"IdentityDescriptor({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
     def require_n(self, n: int) -> None:
         """Refuse n below the entry's domain."""

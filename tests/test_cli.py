@@ -393,10 +393,11 @@ def _perfbench_tracer():
 
 class TestStartUp:
     def test_identity_descriptor_is_the_only_dataclass(self):
-        # every gibsum process builds its modules from source, and each
-        # @dataclass adds to that; IdentityDescriptor stays one because
-        # perfbench/tracer.py finds the registry's callables through
-        # dataclasses.fields(), so new value classes are plain classes
+        # a @dataclass loads dataclasses and inspect in every gibsum process
+        # and execs its generated methods, so value classes are plain
+        # classes; IdentityDescriptor is one too and only declares an empty
+        # __dataclass_fields__, because perfbench/tracer.py calls
+        # dataclasses.fields() on each entry, and is_dataclass reads that
         found = []
         for info in pkgutil.iter_modules(gibsum.__path__):
             module = importlib.import_module(f"gibsum.{info.name}")
@@ -421,6 +422,23 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
 
+
+    def test_cli_loads_no_dataclasses_typing_or_json(self):
+        # -S: no site .pth file loads them first; verify formats its own rows
+        src = str(Path(gibsum.__file__).parents[1])
+        script = (
+            "import sys, gibsum.cli; unused = ('dataclasses', 'inspect', 'typing', 'json'); "
+            "print([m for m in unused if m in sys.modules]); "
+            "code = gibsum.cli.main(['verify', 'sum_g2', '--n=0..3']); "
+            "print(code, [m for m in unused if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-2], lines[-1]) == ("[]", "]", "0 []")
 
 class TestEntryPoints:
     def test_module_invocation(self):
