@@ -422,7 +422,6 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
 
-
     def test_cli_loads_no_dataclasses_typing_or_json(self):
         # -S: no site .pth file loads them first; verify formats its own rows
         src = str(Path(gibsum.__file__).parents[1])
@@ -439,6 +438,7 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert (lines[0], lines[-2], lines[-1]) == ("[]", "]", "0 []")
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
