@@ -16,7 +16,7 @@ import pytest
 import gibsum
 from conftest import unlimited_int_str
 from gibsum import SummandKind, ZeroTermError, closed_forms, verifier
-from gibsum.cli import main, run_bench, _digest, _parse_range, _parse_seeds
+from gibsum.cli import ORACLE_AUTO_LIMIT, main, run_bench, _digest, _parse_range, _parse_seeds
 
 
 def _fib_pair_mod(n, m):
@@ -372,6 +372,45 @@ class TestBench:
         text = str(sum_sixth_closed(FIBONACCI, 0, 100))
         assert result["closed_value"]["digits"] == len(text)
         assert result["closed_value"]["leading"] == text[:24]
+
+    def test_run_bench_json_shape(self):
+        def fib_digest(n, power):  # digest of F(1)^p + ... + F(n)^p, summed here
+            a, b, total = 0, 1, 0
+            for _ in range(n):
+                a, b = b, a + b
+                total += a**power
+            with unlimited_int_str():
+                text = str(total)
+            return {"leading": text[:24], "digits": len(text)}
+
+        head = ["identity", "g0", "g1", "t", "n", "repeats", "closed_seconds", "closed_value"]
+        tail = ["oracle_seconds", "oracle_value", "match"]
+        point = {"g0": "0", "g1": "1", "t": 0}
+        big = ORACLE_AUTO_LIMIT + 1
+        g2 = fib_digest(big, 2)
+        runs = [
+            (run_bench("sum_g6", n=50, repeats=3),
+             {"identity": "sum_g6", "n": 50, "repeats": 3, "match": True}, fib_digest(50, 6)),
+            (run_bench("sum_g2", n=big, repeats=1),
+             {"identity": "sum_g2", "n": big, "repeats": 1, "match": None, "oracle_value": None,
+              "oracle_seconds": None,
+              "note": f"oracle skipped for n > {ORACLE_AUTO_LIMIT}; pass --force-oracle to run it"},
+             g2),
+            (run_bench("sum_g2", n=big, repeats=1, force_oracle=True),
+             {"identity": "sum_g2", "n": big, "repeats": 1, "match": True}, g2),
+        ]
+        for result, expected, digest in runs:
+            expected = {**point, "closed_value": digest, "oracle_value": digest, **expected}
+            assert list(result) == head + tail + (["note"] if "note" in expected else [])
+            for key, value in result.items():
+                if key.endswith("_seconds") and key not in expected:  # a timing that ran
+                    assert type(value) is float and value >= 0
+                else:
+                    assert value == expected[key], key
+
+    def test_zero_repeats_usage_error(self, capsys):
+        assert main(["bench", "sum_g2", "--n=3", "--repeat=0"]) == 2
+        assert capsys.readouterr().err == "error: bench requires repeats >= 1, got 0\n"
 
     @pytest.mark.parametrize("value,digits", [(0, 1), (-12, 2), (Fraction(-123, 4567), 7)])
     def test_digest_counts_digits_only(self, value, digits):
