@@ -15,7 +15,6 @@ import sys
 import time
 
 from .errors import DomainError, UnknownIdentityError, ZeroTermError
-from .oracle import oracle_sum
 from .render import decimal_text
 from .sequences import SequenceSpec
 from .verifier import (
@@ -124,11 +123,6 @@ def run_bench(
     if spec is None:
         spec = SequenceSpec(0, 1)
     spec, t = effective_inputs(desc, spec, t)
-    closed_times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        closed_value = desc.closed(spec, t, n)
-        closed_times.append(time.perf_counter() - started)
     result = {
         "identity": desc.id,
         "g0": decimal_text(spec.g0),
@@ -136,25 +130,25 @@ def run_bench(
         "t": t,
         "n": n,
         "repeats": repeats,
-        "closed_seconds": statistics.median(closed_times),
-        "closed_value": _digest(closed_value),
     }
+    sides = {"closed": desc.closed}
     if force_oracle or n <= ORACLE_AUTO_LIMIT:
-        oracle_times = []
+        sides["oracle"] = desc.oracle
+    values = {}
+    for side, evaluate in sides.items():
+        times = []
         for _ in range(repeats):
             started = time.perf_counter()
-            oracle_value = desc.from_oracle(oracle_sum(desc.kind, spec, t, n))
-            oracle_times.append(time.perf_counter() - started)
-        result["oracle_seconds"] = statistics.median(oracle_times)
-        result["oracle_value"] = _digest(oracle_value)
-        result["match"] = closed_value == oracle_value
+            values[side] = evaluate(spec, t, n)
+            times.append(time.perf_counter() - started)
+        result[f"{side}_seconds"] = statistics.median(times)
+        result[f"{side}_value"] = _digest(values[side])
+    if "oracle" in values:
+        result["match"] = values["closed"] == values["oracle"]
     else:
-        result["oracle_seconds"] = None
-        result["oracle_value"] = None
-        result["match"] = None
-        result["note"] = (
+        result.update(oracle_seconds=None, oracle_value=None, match=None, note=(
             f"oracle skipped for n > {ORACLE_AUTO_LIMIT}; pass --force-oracle to run it"
-        )
+        ))
     return result
 
 
@@ -177,12 +171,11 @@ def _cmd_eval(args) -> int:
     import json
     desc, spec, t = _point_inputs(args)
     n = args.n
-    desc.require_n(n)
     closed_text = oracle_text = None
     if args.method in ("closed", "both"):
         closed_text = desc.closed_text(spec, t, n)
     if args.method in ("oracle", "both"):
-        oracle_text = render_value(desc.from_oracle(oracle_sum(desc.kind, spec, t, n)))
+        oracle_text = render_value(desc.oracle(spec, t, n))
     # both texts are canonical, so equal text means equal value
     match = closed_text == oracle_text if args.method == "both" else None
     if args.format == "tsv":
@@ -324,10 +317,8 @@ def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code
     try:
         return args.func(args)
     except (DomainError, UnknownIdentityError, ZeroTermError, ValueError) as exc:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import closed_forms
 from .errors import DomainError, UnknownIdentityError, ZeroTermError
-from .oracle import SummandKind, oracle_walk
+from .oracle import SummandKind, oracle_sum, oracle_walk
 from .render import decimal_text, exact_context, integer_text, to_decimal
 from .sequences import SequenceSpec
 
@@ -126,7 +126,9 @@ class IdentityDescriptor:
     seeds, fixed_t and min_n fix the seeds, the shift and the least n (None
     = free); the closed form is the oracle's sum over divisor. A special's
     kind and domain come from its closed_forms.SPECIALS row, the one
-    declaration. It evaluates _FORMS[kind]. Immutable, compared by identity.
+    declaration. Both sides go through the entry: closed() evaluates
+    _FORMS[kind], oracle() sums the family with oracle_sum, each with the
+    entry's seeds, shift, domain and divisor. Immutable, compared by identity.
     """
 
     __slots__ = (
@@ -161,6 +163,12 @@ class IdentityDescriptor:
         """The closed form at (spec, t, n), ignoring the arguments the entry fixes."""
         spec, t = effective_inputs(self, spec, t)
         return self._value(spec, t, n)
+
+    def oracle(self, spec: SequenceSpec, t: int, n: int) -> ExactValue:
+        """The oracle's sum at (spec, t, n) over divisor, ignoring the arguments the entry fixes."""
+        spec, t = effective_inputs(self, spec, t)
+        self.require_n(n)
+        return self.from_oracle(oracle_sum(self.kind, spec, t, n))
 
     def closed_text(self, spec: SequenceSpec, t: int, n: int) -> str:
         """render_value(self.closed(spec, t, n)), the same text or error.
@@ -364,9 +372,7 @@ def verify_one(identity_id: str, spec: SequenceSpec, t: int, n: int) -> Verifica
     error the point also passes vacuously (the identity holds wherever it
     is defined); differing errors are a mismatch.
     """
-    desc = descriptor(identity_id)
-    spec, t = effective_inputs(desc, spec, t)
-    return _line(desc, spec, t, n, n)[0]
+    return sweep(identity_id, GridSpec((spec.seeds,), (t, t), (n, n)))[0]
 
 
 def sweep(identity_id: str, grid: GridSpec) -> list[VerificationReport]:

@@ -30,6 +30,7 @@ from gibsum import (
     check_point_identities,
     check_telescoping,
     descriptor,
+    effective_inputs,
     identity_ids,
     oracle_sum,
     render_value,
@@ -129,6 +130,33 @@ class TestRegistry:
                     got = outcome(desc.closed, spec, t, n)
                     assert got == expected and type(got) is type(expected), (spec, t, n)
                     assert (got is DomainError) == (desc.min_n is not None and n < desc.min_n)
+
+    @pytest.mark.parametrize("identity", SPEC_IDS)
+    def test_oracle_is_the_entrys_oracle_sum(self, identity):
+        # the entry's oracle side: its seeds and shift, its domain, its
+        # divisor over oracle_sum; and it agrees with the closed side
+        desc = descriptor(identity)
+        for seeds in GRID_SEEDS:
+            spec = SequenceSpec(*seeds)
+            for t in range(-3, 4):
+                for n in range(-6, 13):
+                    if desc.min_n is not None and n < desc.min_n:
+                        with pytest.raises(DomainError) as info:
+                            desc.oracle(spec, t, n)
+                        message = f"identity {identity} requires n >= {desc.min_n}, got {n}"
+                        assert str(info.value) == message
+                        continue
+                    try:
+                        total = oracle_sum(desc.kind, *effective_inputs(desc, spec, t), n)
+                    except ZeroTermError as exc:
+                        with pytest.raises(ZeroTermError) as info:
+                            desc.oracle(spec, t, n)
+                        assert str(info.value) == str(exc)
+                        continue
+                    expected = desc.from_oracle(total)
+                    got = desc.oracle(spec, t, n)
+                    assert got == expected and type(got) is type(expected), (spec, t, n)
+                    assert got == desc.closed(spec, t, n), (spec, t, n)
 
     def test_readme_catalog_matches_registry(self):
         # the kernels need not follow the printed shapes, but the shapes the
@@ -514,6 +542,28 @@ class TestTelescoping:
     def test_zero_term_points_pass_vacuously(self):
         reps = check_telescoping("recip", F, 0, (1, 5))
         assert reps and all(r.match and "zero term" in r.error for r in reps)
+
+
+class TestTelescopingProof:
+    # One check_telescoping report at n = 1 checks S(1) - S(0) = summand(1),
+    # that is E(m) - sigma E(m-1) = +-d summand(m) at m = t + 1. With
+    # (a, b) = (G(0), G(1)) and e = a^2 - b^2 + ab, both sides are
+    # polynomials of degree <= 6 in (a, b); for recip, degree <= 12 once its
+    # denominators are cleared. Every term G(0..4) is positive on the grid
+    # below, so no denominator vanishes. A polynomial of degree <= D in each
+    # variable that vanishes on a (D+1) x (D+1) grid is zero, so the row
+    # holds for all seeds at m in {1, 2}. Shifting the seeds by two indices
+    # keeps e and carries m in {1, 2} to every m of the same parity, and
+    # S(0) = 0 with telescoping then gives every n, negative n included.
+    @pytest.mark.parametrize("identity, side", [
+        ("sum_g2", 7), ("sum_g6", 7), ("alt_g5", 7), ("sum_g3g3", 7), ("recip", 13),
+    ])
+    def test_general_form_holds_for_all_seeds_shifts_and_lengths(self, identity, side):
+        for a in range(1, side + 1):
+            for b in range(1, side + 1):
+                for t in (0, 1):
+                    (report,) = check_telescoping(identity, SequenceSpec(a, b), t, (1, 1))
+                    assert report.match and report.error is None, (a, b, t)
 
 
 class TestPointIdentities:
