@@ -7,7 +7,9 @@ golden_cli.json next to this file, in the order of CASES. Timings and
 with the terminal width. After a deliberate change to CLI output,
 regenerate the transcript and review its diff:
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    python3 tests/test_golden.py
+
+It runs the gibsum of the checkout it sits in, and prints that path.
 """
 
 import io
@@ -19,6 +21,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":  # regenerate from this checkout's source, whatever else is on sys.path
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import gibsum
 from gibsum.cli import main
@@ -133,6 +138,14 @@ CASES = [
     # the exact /5 of lucas_alt_l5f over render.STR_CUTOFF_BITS, in a sweep and in eval
     ["verify", "lucas_alt_l5f", "--n=2998..3000", "--format=tsv"],
     ["eval", "lucas_alt_l5f", "--g0=3", "--g1=-4", "--t=9", "--n=3000", "--method=both", "--format=tsv"],
+    # option spellings: separate values (negatives too), the range aliases,
+    # a repeated flag (the last wins), an abbreviation, an option before the identity
+    ["eval", "sum_g6", "--g0", "3", "--g1", "-4", "--t", "-2", "--n", "7", "--method", "both",
+     "--format", "tsv"],
+    ["verify", "sum_g6", "--seeds", "2,1", "--t-range=-1..1", "--n-range", "0..3"],
+    ["eval", "sum_g2", "--n=3", "--n=5"],
+    ["eval", "sum_g2", "--meth=both", "--n=4"],
+    ["eval", "--n=4", "sum_g2"],
 ]
 
 
@@ -152,6 +165,9 @@ PROCESS_CASES = [
     ["bench", "nope", "--n=3"],
     ["verify", "all", *GRID],
     ["verify", "recip", "--seeds=1,-1;-3,2", "--t=-1..3", "--n=-3..4", "--format=tsv"],
+    ["eval", "sum_g6", "--g0", "3", "--g1", "-4", "--t", "-2", "--n", "7", "--method", "both",
+     "--format", "tsv"],
+    ["eval", "sum_g2", "--meth=both", "--n=4"],
 ]
 
 
@@ -198,3 +214,4 @@ if __name__ == "__main__":
     with GOLDEN.open("w", encoding="utf-8") as fh:
         json.dump([run(argv) for argv in CASES], fh, indent=1, ensure_ascii=False)
         fh.write("\n")
+    print(f"wrote {GOLDEN} with the gibsum at {Path(gibsum.__file__).parent}")
