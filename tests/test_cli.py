@@ -173,8 +173,22 @@ class TestEval:
         assert main(["eval", "treeby_f3", "--t", "5", "--n", "2"]) == 0
         assert "fixed shift" in capsys.readouterr().err
 
-    def test_missing_n_usage_error(self, capsys):
-        assert main(["eval", "sum_g6"]) == 2
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "sum_g6"], "gibsum eval: error: the following arguments are required: --n"),
+        (["eval", "sum_g2", "--n=3", "--g0=abc"],
+         "gibsum eval: error: argument --g0: invalid int value: 'abc'"),
+        (["eval", "sum_g6", "--n=3", "--method=foo"],
+         "gibsum eval: error: argument --method: invalid choice: 'foo' "
+         "(choose from 'closed', 'oracle', 'both')"),
+        (["verify", "sum_g2", "--t", "-1..1"],
+         "gibsum verify: error: argument --t/--t-range: expected one argument"),
+        (["eval", "sum_g2", "--n=3", "extra"], "gibsum: error: unrecognized arguments: extra"),
+    ], ids=" ".join)
+    def test_bad_arguments_usage_error(self, capsys, monkeypatch, argv, message):
+        # argparse's own message and exit code
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
 
     def test_tsv_format(self, capsys):
         assert main(["eval", "sum_g2", "--n", "3", "--method", "both", "--format", "tsv"]) == 0
@@ -644,8 +658,22 @@ class TestEntryPoints:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts["gibsum"] == "gibsum.__main__:run"
 
-    def test_help_exits_zero(self):
-        assert main(["--help"]) == 0
+    @pytest.mark.parametrize("argv, last_line", [
+        (["--help"], "  -h, --help            show this help message and exit"),
+        (["eval", "--help"], "  --format {json,tsv}"),
+    ], ids=" ".join)
+    def test_help_exits_zero(self, capsys, monkeypatch, argv, last_line):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (out.splitlines()[-1], err) == (last_line, "")
 
-    def test_no_command_usage_error(self):
-        assert main([]) == 2
+    @pytest.mark.parametrize("argv, message", [
+        ([], "gibsum: error: the following arguments are required: command"),
+        (["nope"], "gibsum: error: argument command: invalid choice: 'nope' "
+                   "(choose from 'list', 'eval', 'verify', 'bench')"),
+    ], ids=repr)
+    def test_no_command_usage_error(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
