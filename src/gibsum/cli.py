@@ -9,10 +9,10 @@ early (`gibsum ... | head`).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .errors import DomainError, UnknownIdentityError, ZeroTermError
 from .render import decimal_text
@@ -248,48 +248,111 @@ def _cmd_bench(args) -> int:
     return 1 if result["match"] is False else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# an option is (flags, add_argument keywords)
+_FORMAT = (("--format",), {"choices": ("json", "tsv"), "default": "json"})
+_POINT = (  # the point eval and bench evaluate at, read by _point_inputs
+    (("--g0",), {"type": int, "default": None, "help": "seed G(0), default 0"}),
+    (("--g1",), {"type": int, "default": None, "help": "seed G(1), default 1"}),
+    (("--t",), {"type": int, "default": None, "help": "index shift, default 0"}),
+    (("--n",), {"type": int, "required": True, "help": "summation length"}),
+)
+
+# subcommand -> (handler, help, positional as (name, help) or None, options);
+# _build_parser and _parse both read it
+_COMMANDS = {
+    "list": (_cmd_list, "catalog of registered identities", None, (_FORMAT,)),
+    "eval": (_cmd_eval, "evaluate one identity at one point", ("identity", None), (
+        *_POINT,
+        (("--method",), {"choices": ("closed", "oracle", "both"), "default": "closed"}),
+        _FORMAT,
+    )),
+    "verify": (
+        _cmd_verify, "sweep closed form vs oracle over a grid", ("identity", "identity id, or 'all'"),
+        (
+            (("--seeds",), {"default": "0,1", "help": "semicolon-separated 'g0,g1' pairs"}),
+            (("--t", "--t-range"), {"dest": "t_range", "default": "0..0", "help": "shift range 'a..b'"}),
+            (("--n", "--n-range"), {"dest": "n_range", "default": "0..20", "help": "length range 'a..b'"}),
+            _FORMAT,
+        ),
+    ),
+    "bench": (_cmd_bench, "time closed form vs oracle", ("identity", None), (
+        *_POINT,
+        (("--repeat",), {"type": int, "default": 5, "help": "timing runs per side"}),
+        (("--force-oracle",), {"action": "store_true"}),
+    )),
+}
+
+
+def _build_parser():
+    """The argparse parser of _COMMANDS: help, usage and its errors."""
+    import argparse  # only help and the calls _parse leaves to argparse load it
+
     parser = argparse.ArgumentParser(
         prog="gibsum",
         description="Evaluate and verify gibonacci power-sum identities in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # the point eval and bench evaluate at, read by _point_inputs
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("identity")
-    point.add_argument("--g0", type=int, default=None, help="seed G(0), default 0")
-    point.add_argument("--g1", type=int, default=None, help="seed G(1), default 1")
-    point.add_argument("--t", type=int, default=None, help="index shift, default 0")
-    point.add_argument("--n", type=int, required=True, help="summation length")
-
-    p_list = sub.add_parser("list", help="catalog of registered identities")
-    p_list.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_list.set_defaults(func=_cmd_list)
-
-    p_eval = sub.add_parser("eval", parents=[point], help="evaluate one identity at one point")
-    p_eval.add_argument("--method", choices=("closed", "oracle", "both"), default="closed")
-    p_eval.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="sweep closed form vs oracle over a grid")
-    p_verify.add_argument("identity", help="identity id, or 'all'")
-    p_verify.add_argument("--seeds", default="0,1", help="semicolon-separated 'g0,g1' pairs")
-    p_verify.add_argument(
-        "--t", "--t-range", dest="t_range", default="0..0", help="shift range 'a..b'"
-    )
-    p_verify.add_argument(
-        "--n", "--n-range", dest="n_range", default="0..20", help="length range 'a..b'"
-    )
-    p_verify.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_bench = sub.add_parser("bench", parents=[point], help="time closed form vs oracle")
-    p_bench.add_argument("--repeat", type=int, default=5, help="timing runs per side")
-    p_bench.add_argument("--force-oracle", action="store_true")
-    p_bench.set_defaults(func=_cmd_bench)
-
+    for name, (func, help_text, positional, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if positional:
+            command.add_argument(positional[0], help=positional[1])
+        for flags, keywords in options:
+            command.add_argument(*flags, **keywords)
+        command.set_defaults(func=func)
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments _build_parser() would parse argv into, or None.
+
+    Only the plain spelling is read here: the subcommand, its positional,
+    then exact option strings as --name=value or --name value, a separate
+    value not starting with '-'. Anything else (help, an abbreviation,
+    '--', an unknown, missing or bad option) gives None, and argparse
+    parses it, with its own messages and exit codes.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, positional, options = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    by_flag = {}
+    for flags, keywords in options:
+        dest = keywords.get("dest") or flags[0][2:].replace("-", "_")
+        values[dest] = keywords.get("default", False if "action" in keywords else None)
+        by_flag.update(dict.fromkeys(flags, (dest, keywords)))
+    tokens = iter(argv[1:])  # a missing token reads as "-": argparse takes that call
+    if positional:
+        values[positional[0]] = value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+    given = set()
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in by_flag:
+            return None
+        dest, keywords = by_flag[flag]
+        if "action" in keywords:  # store_true: no value
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse drops it and stores []
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[dest] = value
+        given.add(dest)
+    if any(kw.get("required") and dest not in given for dest, kw in by_flag.values()):
+        return None
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,11 +377,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
-        return exc.code
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+            return exc.code
     try:
         return args.func(args)
     except (DomainError, UnknownIdentityError, ZeroTermError, ValueError) as exc:

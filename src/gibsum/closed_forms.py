@@ -29,8 +29,6 @@ checked exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, IntegralityError, ZeroTermError
 from .sequences import (
     FIBONACCI,
@@ -148,6 +146,8 @@ def recip_sum_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     zero = first_zero_in_window(spec, *reciprocal_window(t, n))
     if zero is not None:
         raise ZeroTermError(zero, spec.seeds)
+    from fractions import Fraction  # only the reciprocal family loads fractions
+
     return (Fraction(1, _triple_square(spec, t)) - Fraction(1, _triple_square(spec, n + t))) / 4
 
 

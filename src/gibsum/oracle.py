@@ -13,7 +13,6 @@ of consecutive terms, itself cross-checked against the single-step recurrence.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from .errors import ZeroTermError
 from .sequences import SequenceSpec, window
@@ -29,6 +28,12 @@ class SummandKind(enum.Enum):
     RECIPROCAL_WINDOW = "recip"    # 1 / (G(j+t-1)^2 G(j+t) G(j+t+1) G(j+t+2)^2)
 
 
+def _reciprocal_summand(w: list[int], j: int) -> Fraction:
+    from fractions import Fraction  # only the reciprocal family loads fractions
+
+    return Fraction(1, w[0] ** 2 * w[1] * w[2] * w[3] ** 2)
+
+
 # per family: the stored terms G(j+t+lo) .. G(j+t+hi), hi >= lo+1 so the
 # window can slide, and the j-th summand from that window
 _SUMMANDS = {
@@ -38,9 +43,7 @@ _SUMMANDS = {
         -1, 1, lambda w, j: (1 if j % 2 else -1) * w[1] ** 5 * (w[2] + w[0])  # (-1)^(j-1)
     ),
     SummandKind.CUBE_PRODUCT: (0, 1, lambda w, j: w[0] ** 3 * w[1] ** 3),
-    SummandKind.RECIPROCAL_WINDOW: (
-        -1, 2, lambda w, j: Fraction(1, w[0] ** 2 * w[1] * w[2] * w[3] ** 2)
-    ),
+    SummandKind.RECIPROCAL_WINDOW: (-1, 2, _reciprocal_summand),
 }
 
 

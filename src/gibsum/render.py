@@ -12,8 +12,7 @@ callers that compute in decimal from the start.
 
 from __future__ import annotations
 
-import decimal
-from decimal import Decimal
+# decimal loads on the first to_decimal() or exact_context() call: str() needs none of it
 
 # str() costs about the same as the split at this size, and a value of at
 # most this many bits has at most 3613 digits, under CPython's default cap.
@@ -22,17 +21,23 @@ STR_CUTOFF_BITS = 12_000
 # halves of at most this many bits convert to Decimal directly
 _LEAF_BITS = 1024
 
-# the default traps plus Inexact: a result that would need rounding raises
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact],
-)
+_EXACT = None  # exact_context()'s decimal context, built on its first call
 
 
 def exact_context():
     """A localcontext in which Decimal arithmetic on integers is exact."""
+    global _EXACT
+    import decimal
+
+    if _EXACT is None:
+        # the default traps plus Inexact: a result that would need rounding raises
+        _EXACT = decimal.Context(
+            prec=decimal.MAX_PREC,
+            Emax=decimal.MAX_EMAX,
+            Emin=decimal.MIN_EMIN,
+            traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+                   decimal.Inexact],
+        )
     return decimal.localcontext(_EXACT)
 
 
@@ -63,6 +68,7 @@ def integer_text(value: Decimal) -> str:
 def _to_decimal(m: int, w: int, powers: dict[int, Decimal]) -> Decimal:
     """m >= 0, of at most w bits, as an exact Decimal."""
     if w <= _LEAF_BITS:
+        from decimal import Decimal
         return Decimal(m)
     h = w >> 1
     hi = m >> h
@@ -75,6 +81,7 @@ def _power_of_two(w: int, powers: dict[int, Decimal]) -> Decimal:
     result = powers.get(w)
     if result is None:
         if w <= _LEAF_BITS:
+            from decimal import Decimal
             result = Decimal(1 << w)
         elif w - 1 in powers:
             result = powers[w - 1] + powers[w - 1]

@@ -10,8 +10,6 @@ fixed deterministic order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import closed_forms
 from .errors import DomainError, UnknownIdentityError, ZeroTermError
 from .oracle import SummandKind, oracle_sum, oracle_walk
@@ -23,13 +21,15 @@ try:  # json.dumps's own escaper, without loading json: verify never needs it
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
-ExactValue = int | Fraction
+# exact values are int | fractions.Fraction; fractions loads only where one is made
 
 
-def render_value(value: ExactValue) -> str:
+def render_value(value: int | Fraction) -> str:
     """Canonical text form: integers as decimals, others as reduced "p/q"."""
     if type(value) is int:
         return decimal_text(value)
+    from fractions import Fraction
+
     f = Fraction(value)
     if f.denominator == 1:
         return decimal_text(f.numerator)
@@ -155,16 +155,20 @@ class IdentityDescriptor:
         if self.min_n is not None and n < self.min_n:
             raise DomainError(f"identity {self.id} requires n >= {self.min_n}, got {n}")
 
-    def from_oracle(self, total: ExactValue) -> ExactValue:
+    def from_oracle(self, total: int | Fraction) -> int | Fraction:
         """The closed form's value given the oracle's sum of summands."""
-        return total if self.divisor == 1 else Fraction(total, self.divisor)
+        if self.divisor == 1:
+            return total
+        from fractions import Fraction
 
-    def closed(self, spec: SequenceSpec, t: int, n: int) -> ExactValue:
+        return Fraction(total, self.divisor)
+
+    def closed(self, spec: SequenceSpec, t: int, n: int) -> int | Fraction:
         """The closed form at (spec, t, n), ignoring the arguments the entry fixes."""
         spec, t = effective_inputs(self, spec, t)
         return self._value(spec, t, n)
 
-    def oracle(self, spec: SequenceSpec, t: int, n: int) -> ExactValue:
+    def oracle(self, spec: SequenceSpec, t: int, n: int) -> int | Fraction:
         """The oracle's sum at (spec, t, n) over divisor, ignoring the arguments the entry fixes."""
         spec, t = effective_inputs(self, spec, t)
         self.require_n(n)
@@ -312,7 +316,7 @@ def effective_inputs(desc: IdentityDescriptor, spec: SequenceSpec, t: int) -> tu
 
 def _compare(
     desc: IdentityDescriptor, spec: SequenceSpec, t: int, n: int,
-    outcome: ExactValue | ZeroTermError,
+    outcome: int | Fraction | ZeroTermError,
 ) -> VerificationReport:
     """The report at one point, given the oracle_walk outcome at its n."""
     closed_value = closed_err = None

@@ -3,19 +3,23 @@
 import dataclasses
 import gc
 import importlib.util
+import io
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gibsum
 from conftest import unlimited_int_str
-from gibsum import SummandKind, ZeroTermError, closed_forms, verifier
+from gibsum import SummandKind, ZeroTermError, cli, closed_forms, verifier
+from test_golden import CASES
 from gibsum.cli import ORACLE_AUTO_LIMIT, main, run_bench, _digest, _parse_range, _parse_seeds
 
 
@@ -444,6 +448,77 @@ def _perfbench_tracer():
     return module
 
 
+def _argparse_vars(argv):
+    """vars() of what argparse parses argv into, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_FLAGS = sorted({flag for *_, options in cli._COMMANDS.values() for flags, _ in options for flag in flags})
+_TOKENS = sorted({*_FLAGS, *(flag[:k] for flag in _FLAGS for k in range(3, len(flag))), "-h", "--"})
+_VALUES = [
+    "0", "5", "-4", " 7", "+3", "1_0", "0..3", "-1..1", "3..1", "2..", "", "x", "2,1;3,-2",
+    "json", "tsv", "closed", "both", "oracle", "sum_g2", "all", "-", "--", "a=b",
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A well-formed call in either option spelling, then up to two edits:
+    any flag, prefix, value or `flag=value` inserted or swapped in, or a token dropped."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, _, positional, options = cli._COMMANDS[command]
+    argv = [command, *([draw(st.sampled_from(["sum_g2", "all", "recip", ""]))] if positional else [])]
+    required = [option for option in options if option[1].get("required")]
+    for flags, keywords in draw(st.lists(st.sampled_from(options), max_size=5)) + required:
+        flag = draw(st.sampled_from(flags))
+        if "action" in keywords:
+            argv.append(flag)
+            continue
+        fitting = keywords.get("choices") or (
+            ("0", "5", "+3", " 7", "1_0") if keywords.get("type") is int else ("0..3", "2,1;3,-2", "-1..1", "", "--"))
+        value = draw(st.sampled_from(fitting))
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    noise = st.sampled_from([*_TOKENS, *_VALUES, "nope", "--help"]) | st.builds(
+        "{}={}".format, st.sampled_from(_TOKENS), st.sampled_from(_VALUES))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "drop"]))
+        if edit == "insert":
+            argv.insert(i, draw(noise))
+        elif i < len(argv) and edit == "replace":
+            argv[i] = draw(noise)
+        elif i < len(argv):
+            del argv[i]
+    return argv
+
+
+class TestParse:
+    """_parse reads the plain spelling of a call and leaves the rest to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_argvs())
+    def test_agrees_with_argparse(self, argv):
+        parsed = cli._parse(argv)
+        assert parsed is None or vars(parsed) == _argparse_vars(argv)
+
+    def test_golden_calls_agree_with_argparse(self):
+        for argv in CASES:
+            parsed = cli._parse(argv)
+            assert parsed is None or vars(parsed) == _argparse_vars(argv), argv
+
+    def test_only_unusual_spellings_reach_argparse(self):
+        assert [argv for argv in CASES if cli._parse(argv) is None] == [
+            ["eval", "sum_g6", "--g0", "3", "--g1", "-4", "--t", "-2", "--n", "7", "--method", "both",
+             "--format", "tsv"],  # a separate value that starts with '-'
+            ["eval", "sum_g2", "--meth=both", "--n=4"],
+            ["eval", "--n=4", "sum_g2"],
+        ]
+
+
 class TestStartUp:
     def test_identity_descriptor_is_the_only_dataclass(self):
         # a @dataclass loads dataclasses and inspect in every gibsum process
@@ -475,14 +550,23 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
 
-    def test_cli_loads_no_dataclasses_typing_or_json(self):
-        # -S: no site .pth file loads them first; verify formats its own rows
+    @pytest.mark.parametrize("argv, loaded", [
+        # verify formats its own rows, and a small int prints through str()
+        (["verify", "sum_g2", "--n=0..3"], []),
+        (["eval", "sum_g6", "--n=5"], ["decimal", "json", "numbers"]),  # eval computes in Decimal
+        (["eval", "recip", "--g0=2", "--g1=1", "--n=5"], ["decimal", "fractions", "json", "numbers"]),
+    ], ids=" ".join)
+    def test_cli_loads_no_dataclasses_typing_or_json(self, argv, loaded):
+        # -S: no site .pth file loads them first. A well-formed call never
+        # builds the argparse parser, and only a value that needs decimal or
+        # fractions loads them
         src = str(Path(gibsum.__file__).parents[1])
         script = (
-            "import sys, gibsum.cli; unused = ('dataclasses', 'inspect', 'typing', 'json'); "
+            "import sys, gibsum.cli; unused = ('dataclasses', 'inspect', 'typing', 'json', "
+            "'argparse', 'gettext', 'decimal', 'fractions', 'numbers'); "
             "print([m for m in unused if m in sys.modules]); "
-            "code = gibsum.cli.main(['verify', 'sum_g2', '--n=0..3']); "
-            "print(code, [m for m in unused if m in sys.modules])"
+            f"code = gibsum.cli.main({argv!r}); "
+            "print(code, sorted(m for m in unused if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", script], capture_output=True, text=True,
@@ -490,7 +574,7 @@ class TestStartUp:
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert (lines[0], lines[-2], lines[-1]) == ("[]", "]", "0 []")
+        assert (lines[0], lines[-1]) == ("[]", f"0 {sorted(loaded)}")
 
 
 class TestEntryPoints:
