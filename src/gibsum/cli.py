@@ -278,7 +278,7 @@ _COMMANDS = {
     "bench": (_cmd_bench, "time closed form vs oracle", ("identity", None), (
         *_POINT,
         (("--repeat",), {"type": int, "default": 5, "help": "timing runs per side"}),
-        (("--force-oracle",), {"action": "store_true"}),
+        (("--force-oracle",), {"action": "store_true", "default": False}),
     )),
 }
 
@@ -318,14 +318,13 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     by_flag = {}
     for flags, keywords in options:
         dest = keywords.get("dest") or flags[0][2:].replace("-", "_")
-        values[dest] = keywords.get("default", False if "action" in keywords else None)
+        values[dest] = keywords.get("default")
         by_flag.update(dict.fromkeys(flags, (dest, keywords)))
     tokens = iter(argv[1:])  # a missing token reads as "-": argparse takes that call
     if positional:
         values[positional[0]] = value = next(tokens, "-")
         if value.startswith("-"):
             return None
-    given = set()
     for token in tokens:
         flag, eq, value = token.partition("=")
         if flag not in by_flag:
@@ -349,8 +348,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             if "choices" in keywords and value not in keywords["choices"]:
                 return None
         values[dest] = value
-        given.add(dest)
-    if any(kw.get("required") and dest not in given for dest, kw in by_flag.values()):
+    if any(kw.get("required") and values[dest] is None for dest, kw in by_flag.values()):
         return None
     return SimpleNamespace(**values)
 
