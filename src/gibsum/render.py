@@ -68,8 +68,8 @@ def integer_text(value: Decimal) -> str:
 def _to_decimal(m: int, w: int, powers: dict[int, Decimal]) -> Decimal:
     """m >= 0, of at most w bits, as an exact Decimal."""
     if w <= _LEAF_BITS:
-        from decimal import Decimal
-        return Decimal(m)
+        import decimal
+        return decimal.Decimal(m)
     h = w >> 1
     hi = m >> h
     lo = _to_decimal(m - (hi << h), h, powers)
@@ -81,8 +81,8 @@ def _power_of_two(w: int, powers: dict[int, Decimal]) -> Decimal:
     result = powers.get(w)
     if result is None:
         if w <= _LEAF_BITS:
-            from decimal import Decimal
-            result = Decimal(1 << w)
+            import decimal
+            result = decimal.Decimal(1 << w)
         elif w - 1 in powers:
             result = powers[w - 1] + powers[w - 1]
         else:

@@ -28,9 +28,9 @@ def render_value(value: int | Fraction) -> str:
     """Canonical text form: integers as decimals, others as reduced "p/q"."""
     if type(value) is int:
         return decimal_text(value)
-    from fractions import Fraction
+    import fractions
 
-    f = Fraction(value)
+    f = fractions.Fraction(value)
     if f.denominator == 1:
         return decimal_text(f.numerator)
     return f"{decimal_text(f.numerator)}/{decimal_text(f.denominator)}"
@@ -159,9 +159,9 @@ class IdentityDescriptor:
         """The closed form's value given the oracle's sum of summands."""
         if self.divisor == 1:
             return total
-        from fractions import Fraction
+        import fractions
 
-        return Fraction(total, self.divisor)
+        return fractions.Fraction(total, self.divisor)
 
     def closed(self, spec: SequenceSpec, t: int, n: int) -> int | Fraction:
         """The closed form at (spec, t, n), ignoring the arguments the entry fixes."""
