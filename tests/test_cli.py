@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 import gibsum
 from conftest import unlimited_int_str
 from gibsum import SummandKind, ZeroTermError, cli, closed_forms, verifier
-from test_golden import CASES
 from gibsum.cli import ORACLE_AUTO_LIMIT, main, run_bench, _digest, _parse_range, _parse_seeds
+from test_golden import CASES
 
 
 def _fib_pair_mod(n, m):
