@@ -154,12 +154,10 @@ def run_bench(
 
 def _cmd_list(args) -> int:
     import json  # list, eval and bench only: verify formats its rows itself
-    rows = [
-        {"id": d.id, "summand": d.summand, "closed_form": d.closed_form, "source": d.source}
-        for d in REGISTRY
-    ]
+    columns = ("id", "summand", "closed_form", "source")
+    rows = [{name: getattr(d, name) for name in columns} for d in REGISTRY]
     if args.format == "tsv":
-        print("\t".join(("id", "summand", "closed_form", "source")))
+        print("\t".join(columns))
         for row in rows:
             print("\t".join(row.values()))
     else:

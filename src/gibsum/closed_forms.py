@@ -18,11 +18,11 @@ S(n) = (sigma(n) E(n+t) - E(t)) / d, sigma(n) = (-1)^n if alternating, else 1:
 _telescope evaluates any row over any exact number type; `gibsum eval` runs
 it on Decimal seeds in render.exact_context(), so a large value prints
 without an int-to-text conversion. The reciprocal sum (1/P(t) - 1/P(n+t)) / 4,
-P = _triple_square, has a rational end. The registry evaluates these five
-general forms, one per summand family (verifier._FORMS). SPECIALS declares
-each Fibonacci/Lucas special once, as a general form at fixed seeds (and
-shift, least n, divisor); the special's public function reads that row, and
-its registry entry takes its family and domain from it.
+P = _triple_square, has a rational end. CATALOG is the one list of
+identities: one row each, with its general form (one of these five, one per
+summand family), fixed seeds, shift, least n and divisor, and its catalog
+text. verifier builds every registry entry from its row, and a
+Fibonacci/Lucas special's public function reads the same row.
 Integer sums return an int, the recip family a Fraction; each division is
 checked exact.
 """
@@ -152,22 +152,80 @@ def recip_sum_closed(spec: SequenceSpec, t: int, n: int) -> Fraction:
     return (fractions.Fraction(1, p_t) - fractions.Fraction(1, p_nt)) / 4
 
 
-# id -> (general form, seeds, shift or None = free, least n or None = all, divisor)
-SPECIALS = {
-    "fib6": (sum_sixth_closed, FIBONACCI, None, None, 1),
-    "lucas6": (sum_sixth_closed, LUCAS, None, None, 1),
-    "fib_alt_f5l": (alt_sum_fifth_closed, FIBONACCI, 0, 0, 1),
-    "lucas_alt_l5f": (alt_sum_fifth_closed, LUCAS, 0, 0, 5),  # L(j+1) + L(j-1) = 5 F(j)
-    "treeby_f3": (sum_cubes_product_closed, FIBONACCI, 0, 0, 1),
-    "treeby_l3": (sum_cubes_product_closed, LUCAS, 0, 0, 1),
-    "recip_fib": (recip_sum_closed, FIBONACCI, 1, 1, 1),
-    "recip_lucas": (recip_sum_closed, LUCAS, 1, 1, 1),
+# id -> (general form, seeds, shift, least n, divisor, summand, closed form, source),
+# one row per identity in `gibsum list` order; None seeds, shift or least n = free
+CATALOG = {
+    "sum_g6": (
+        sum_sixth_closed, None, None, None, 1, "G(j+t)^6",
+        "[G(n+t)^5 G(n+t+3) - G(t)^5 G(t+3) + e^2 (G(n+t)(G(n+t+1)+G(n+t-1)) - G(t)(G(t+1)+G(t-1)))] / 4",
+        "extends the Fibonacci/Lucas sixth-power sums of Ohtsuka and Nakamura (2010)",
+    ),
+    "sum_g2": (
+        sum_squares_closed, None, None, None, 1, "G(j+t)^2",
+        "G(n+t) G(n+t+1) - G(t) G(t+1)",
+        "classical telescoping of consecutive-term products",
+    ),
+    "alt_g5": (
+        alt_sum_fifth_closed, None, None, None, 1, "(-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1))",
+        "(-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t), P(m) = (G(m)G(m+1)G(m+2))^2, Q(m) = G(m+1)^4 G(m)^2",
+        "alternating telescoping over the squared triple-product window",
+    ),
+    "sum_g3g3": (
+        sum_cubes_product_closed, None, None, None, 1, "G(j+t)^3 G(j+t+1)^3",
+        "(P(n+t) - P(t)) / 4",
+        "extends the cube-product sums of Treeby (2016)",
+    ),
+    "recip": (
+        recip_sum_closed, None, None, None, 1, "1 / (G(j+t-1)^2 G(j+t) G(j+t+1) G(j+t+2)^2)",
+        "(1/P(t) - 1/P(n+t)) / 4",
+        "reciprocal companion of the cube-product telescoping",
+    ),
+    "fib6": (
+        sum_sixth_closed, FIBONACCI, None, None, 1, "F(j+t)^6",
+        "[F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4",
+        "Ohtsuka and Nakamura (2010), shifted form",
+    ),
+    "lucas6": (
+        sum_sixth_closed, LUCAS, None, None, 1, "L(j+t)^6",
+        "[L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4",
+        "Ohtsuka and Nakamura (2010), shifted form",
+    ),
+    "fib_alt_f5l": (
+        alt_sum_fifth_closed, FIBONACCI, 0, 0, 1, "(-1)^(j-1) F(j)^5 L(j)",
+        "(-1)^n / 2 F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3))",
+        "specialization of alt_g5 at Fibonacci seeds; leading sign corrected (see README)",
+    ),
+    "lucas_alt_l5f": (  # divisor 5: L(j+1) + L(j-1) = 5 F(j)
+        alt_sum_fifth_closed, LUCAS, 0, 0, 5, "(-1)^(j-1) L(j)^5 F(j)",
+        "(-1)^n / 10 L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5",
+        "specialization of alt_g5 at Lucas seeds; leading sign corrected (see README)",
+    ),
+    "treeby_f3": (
+        sum_cubes_product_closed, FIBONACCI, 0, 0, 1, "F(j)^3 F(j+1)^3",
+        "F(n)^2 F(n+1)^2 F(n+2)^2 / 4",
+        "Treeby (2016)",
+    ),
+    "treeby_l3": (
+        sum_cubes_product_closed, LUCAS, 0, 0, 1, "L(j)^3 L(j+1)^3",
+        "L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9",
+        "Treeby (2016)",
+    ),
+    "recip_fib": (
+        recip_sum_closed, FIBONACCI, 1, 1, 1, "1 / (F(j)^2 F(j+1) F(j+2) F(j+3)^2)",
+        "(1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4",
+        "reciprocal companion of Treeby (2016), Fibonacci seeds",
+    ),
+    "recip_lucas": (
+        recip_sum_closed, LUCAS, 1, 1, 1, "1 / (L(j)^2 L(j+1) L(j+2) L(j+3)^2)",
+        "(1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4",
+        "reciprocal companion of Treeby (2016), Lucas seeds",
+    ),
 }
 
 
 def _special(identity: str, op: str, n: int, t: int = 0):
     """The special's general form at its row's seeds and shift (else t), over its divisor."""
-    form, seeds, shift, least, d = SPECIALS[identity]
+    form, seeds, shift, least, d, *_ = CATALOG[identity]
     if least is not None and n < least:
         raise DomainError(f"{op} requires n >= {least}, got {n}")
     return _exact_div(form(seeds, t if shift is None else shift, n), d, op)

@@ -1,9 +1,9 @@
 """Identity registry and closed-form-vs-oracle sweeps.
 
 The registry binds each identity id to its summand family and its validity
-domain (fixed seeds, fixed shift, smallest supported n); a special's are
-read from its closed_forms.SPECIALS row. Each entry evaluates its family's
-public general form, _FORMS[kind]. It is the one list of identities.
+domain (fixed seeds, fixed shift, smallest supported n). Every entry is
+built the same way, from the id's row of closed_forms.CATALOG, the one list
+of identities, and evaluates its family's public general form, _FORMS[kind].
 verify_one() compares one grid point, and sweep() walks a whole grid in a
 fixed deterministic order.
 """
@@ -62,17 +62,9 @@ class VerificationReport:
     def as_dict(self) -> dict:
         # seeds and values as strings: arbitrary-precision integers do not
         # survive as native JSON numbers in common consumers
-        return {
-            "identity": self.identity,
-            "g0": decimal_text(self.g0),
-            "g1": decimal_text(self.g1),
-            "t": self.t,
-            "n": self.n,
-            "closed": self.closed,
-            "oracle": self.oracle,
-            "match": self.match,
-            "error": self.error,
-        }
+        row = {name: getattr(self, name) for name in TSV_COLUMNS}
+        row["g0"], row["g1"] = decimal_text(self.g0), decimal_text(self.g1)
+        return row
 
     def as_json_row(self) -> str:
         """json.dumps(self.as_dict()), formatted directly."""
@@ -88,18 +80,10 @@ class VerificationReport:
         )
 
     def as_tsv_row(self) -> str:
-        cells = (
-            self.identity,
-            decimal_text(self.g0),
-            decimal_text(self.g1),
-            str(self.t),
-            str(self.n),
-            self.closed or "",
-            self.oracle or "",
-            "" if self.match is None else "true" if self.match else "false",
-            self.error or "",
+        return "\t".join(
+            "" if value is None else str(value).lower() if type(value) is bool else str(value)
+            for value in self.as_dict().values()
         )
-        return "\t".join(cells)
 
 
 class GridSpec:
@@ -123,23 +107,25 @@ class GridSpec:
 class IdentityDescriptor:
     """Registry entry: an identity id, its summand family and its domain.
 
-    seeds, fixed_t and min_n fix the seeds, the shift and the least n (None
-    = free); the closed form is the oracle's sum over divisor. A special's
-    kind and domain come from its closed_forms.SPECIALS row, the one
-    declaration. Both sides go through the entry: closed() evaluates
-    _FORMS[kind], oracle() sums the family with oracle_sum, each with the
-    entry's seeds, shift, domain and divisor. Immutable, compared by identity.
+    Built from the id's closed_forms.CATALOG row alone. seeds, fixed_t and
+    min_n fix the seeds, the shift and the least n (None = free); the closed
+    form is the oracle's sum over divisor; kind is the family whose _FORMS
+    entry is the row's general form. Both sides go through the entry:
+    closed() evaluates _FORMS[kind], oracle() sums the family with
+    oracle_sum, each with the entry's seeds, shift, domain and divisor.
+    Immutable, compared by identity.
     """
 
     __slots__ = (
         "id", "summand", "closed_form", "source", "kind", "seeds", "fixed_t", "min_n", "divisor")
     __dataclass_fields__ = {}  # perfbench/tracer.py calls dataclasses.fields() on each entry
 
-    def __init__(self, id: str, summand: str, closed_form: str, source: str, kind=None):
-        form, *domain = closed_forms.SPECIALS.get(id, _GENERAL)
-        kind = next((k for k, f in _FORMS.items() if f is form), kind)
-        for name, value in zip(self.__slots__, (id, summand, closed_form, source, kind, *domain)):
-            object.__setattr__(self, name, value)
+    def __init__(self, id: str):
+        form, seeds, fixed_t, min_n, divisor, summand, closed_form, source = closed_forms.CATALOG[id]
+        kind = next(k for k, f in _FORMS.items() if f is form)
+        fields = locals()  # each slot is the local of its name
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -192,8 +178,6 @@ class IdentityDescriptor:
         return closed_forms._exact_div(_FORMS[self.kind](spec, t, n), self.divisor, self.id)
 
 
-_GENERAL = (None, None, None, None, 1)  # a seed-free entry's row: no fixed domain, divisor 1
-
 _FORMS = {  # each summand family's public general form
     SummandKind.SIXTH_POWER: closed_forms.sum_sixth_closed,
     SummandKind.SQUARE: closed_forms.sum_squares_closed,
@@ -202,93 +186,7 @@ _FORMS = {  # each summand family's public general form
     SummandKind.RECIPROCAL_WINDOW: closed_forms.recip_sum_closed,
 }
 
-
-REGISTRY: tuple[IdentityDescriptor, ...] = (
-    IdentityDescriptor(
-        id="sum_g6",
-        kind=SummandKind.SIXTH_POWER,
-        summand="G(j+t)^6",
-        closed_form="[G(n+t)^5 G(n+t+3) - G(t)^5 G(t+3) + e^2 (G(n+t)(G(n+t+1)+G(n+t-1)) - G(t)(G(t+1)+G(t-1)))] / 4",
-        source="extends the Fibonacci/Lucas sixth-power sums of Ohtsuka and Nakamura (2010)",
-    ),
-    IdentityDescriptor(
-        id="sum_g2",
-        kind=SummandKind.SQUARE,
-        summand="G(j+t)^2",
-        closed_form="G(n+t) G(n+t+1) - G(t) G(t+1)",
-        source="classical telescoping of consecutive-term products",
-    ),
-    IdentityDescriptor(
-        id="alt_g5",
-        kind=SummandKind.ALT_FIFTH_NEIGHBOR,
-        summand="(-1)^(j-1) G(j+t)^5 (G(j+t+1) + G(j+t-1))",
-        closed_form="(-1)^(n+1)/2 P(n+t) + 1/2 P(t) + (-1)^n Q(n+t) - Q(t), P(m) = (G(m)G(m+1)G(m+2))^2, Q(m) = G(m+1)^4 G(m)^2",
-        source="alternating telescoping over the squared triple-product window",
-    ),
-    IdentityDescriptor(
-        id="sum_g3g3",
-        kind=SummandKind.CUBE_PRODUCT,
-        summand="G(j+t)^3 G(j+t+1)^3",
-        closed_form="(P(n+t) - P(t)) / 4",
-        source="extends the cube-product sums of Treeby (2016)",
-    ),
-    IdentityDescriptor(
-        id="recip",
-        kind=SummandKind.RECIPROCAL_WINDOW,
-        summand="1 / (G(j+t-1)^2 G(j+t) G(j+t+1) G(j+t+2)^2)",
-        closed_form="(1/P(t) - 1/P(n+t)) / 4",
-        source="reciprocal companion of the cube-product telescoping",
-    ),
-    IdentityDescriptor(
-        id="fib6",
-        summand="F(j+t)^6",
-        closed_form="[F(n+t)^5 F(n+t+3) - F(t)^5 F(t+3) + F(2n+2t) - F(2t)] / 4",
-        source="Ohtsuka and Nakamura (2010), shifted form",
-    ),
-    IdentityDescriptor(
-        id="lucas6",
-        summand="L(j+t)^6",
-        closed_form="[L(n+t)^5 L(n+t+3) - L(t)^5 L(t+3) + 125 (F(2n+2t) - F(2t))] / 4",
-        source="Ohtsuka and Nakamura (2010), shifted form",
-    ),
-    IdentityDescriptor(
-        id="fib_alt_f5l",
-        summand="(-1)^(j-1) F(j)^5 L(j)",
-        closed_form="(-1)^n / 2 F(n)^2 F(n+1)^2 (F(n+1)^2 - F(n) F(n+3))",
-        source="specialization of alt_g5 at Fibonacci seeds; leading sign corrected (see README)",
-    ),
-    IdentityDescriptor(
-        id="lucas_alt_l5f",
-        summand="(-1)^(j-1) L(j)^5 F(j)",
-        closed_form="(-1)^n / 10 L(n)^2 L(n+1)^2 (L(n+1)^2 - L(n) L(n+3)) + 14/5",
-        source="specialization of alt_g5 at Lucas seeds; leading sign corrected (see README)",
-    ),
-    IdentityDescriptor(
-        id="treeby_f3",
-        summand="F(j)^3 F(j+1)^3",
-        closed_form="F(n)^2 F(n+1)^2 F(n+2)^2 / 4",
-        source="Treeby (2016)",
-    ),
-    IdentityDescriptor(
-        id="treeby_l3",
-        summand="L(j)^3 L(j+1)^3",
-        closed_form="L(n)^2 L(n+1)^2 L(n+2)^2 / 4 - 9",
-        source="Treeby (2016)",
-    ),
-    IdentityDescriptor(
-        id="recip_fib",
-        summand="1 / (F(j)^2 F(j+1) F(j+2) F(j+3)^2)",
-        closed_form="(1/4 - 1/(F(n+1) F(n+2) F(n+3))^2) / 4",
-        source="reciprocal companion of Treeby (2016), Fibonacci seeds",
-    ),
-    IdentityDescriptor(
-        id="recip_lucas",
-        summand="1 / (L(j)^2 L(j+1) L(j+2) L(j+3)^2)",
-        closed_form="(1/144 - 1/(L(n+1) L(n+2) L(n+3))^2) / 4",
-        source="reciprocal companion of Treeby (2016), Lucas seeds",
-    ),
-)
-
+REGISTRY: tuple[IdentityDescriptor, ...] = tuple(map(IdentityDescriptor, closed_forms.CATALOG))
 _BY_ID = {d.id: d for d in REGISTRY}
 
 

@@ -107,9 +107,9 @@ class TestRegistry:
 
     @pytest.mark.parametrize("identity", SPEC_IDS)
     def test_closed_form_equals_its_entry(self, identity):
-        # both sides evaluate the same general form: a special's is its one
-        # SPECIALS row, a general entry's the one _FORMS gives its kind; what
-        # is left is that they apply it alike, so both sides are evaluated:
+        # both sides evaluate the same general form, the one named on the
+        # identity's closed_forms.CATALOG row; what is left is that they
+        # apply it alike, so both sides are evaluated:
         # the same value and type, zero-term error and domain boundary
         desc, fn = descriptor(identity), getattr(closed_forms, PUBLIC_FORMS[identity])
 
@@ -170,6 +170,14 @@ class TestRegistry:
             closed = cells[2].replace("` with `", ", ").replace("`, `", ", ")
             rows.append(tuple(c.strip("`") for c in (cells[0], cells[1], closed)))
         assert rows == [(d.id, d.summand, d.closed_form) for d in REGISTRY]
+
+    def test_readme_python_example_runs(self):
+        # the library example must stay runnable as printed, asserts included
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
 
 
 def _split_widths(w):
