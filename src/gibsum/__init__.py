@@ -51,11 +51,3 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # the property suites load on first use: no CLI command needs them
-    if name in ("POINT_IDENTITY_IDS", "check_point_identities", "check_telescoping"):
-        from . import properties
-        return getattr(properties, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,7 @@ fixed deterministic order.
 from __future__ import annotations
 
 from . import closed_forms
-from .errors import DomainError, UnknownIdentityError, ZeroTermError
+from .errors import DomainError, IntegralityError, UnknownIdentityError, ZeroTermError
 from .oracle import SummandKind, oracle_sum, oracle_walk
 from .render import decimal_text, exact_context, integer_text, to_decimal
 from .sequences import SequenceSpec
@@ -220,7 +220,7 @@ def _compare(
     closed_value = closed_err = None
     try:
         closed_value = desc._value(spec, t, n)
-    except ZeroTermError as exc:
+    except (ZeroTermError, IntegralityError) as exc:  # the latter only from a broken form
         closed_err = str(exc)
     oracle_value = oracle_err = None
     if isinstance(outcome, ZeroTermError):

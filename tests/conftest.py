@@ -8,10 +8,6 @@ from gibsum.sequences import term
 # the six seed pairs every full-grid check runs over
 GRID_SEEDS = ((0, 1), (2, 1), (1, 1), (3, 1), (-2, 5), (3, -4))
 
-# narrower grids for the telescoping suite
-TELESCOPE_SEEDS = ((0, 1), (2, 1), (3, 1))
-TELESCOPE_SHIFTS = (-3, 0, 4)
-
 FULL_T_RANGE = (-8, 8)
 FULL_N_RANGE = (0, 40)
 

@@ -332,6 +332,22 @@ class TestVerify:
         assert main(["eval", identity, "--n=3", "--method=both"]) == 1
         assert "0/3 match" in capsys.readouterr().err
 
+    def test_inexact_division_is_a_mismatch_row(self, capsys, monkeypatch):
+        # a closed form failing its own exact division is a defect verify
+        # reports in a row: the JSON array closes and the exit code is 1
+        end, d, alternating, op = closed_forms._SIXTH
+        broken = (lambda spec, m: end(spec, m) + m, d, alternating, op)
+        monkeypatch.setattr(closed_forms, "_SIXTH", broken)
+        assert main(["verify", "sum_g6", "--n=0..3"]) == 1
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)
+        assert [r["match"] for r in rows] == [True, False, False, False]
+        assert rows[1]["closed"] is None and rows[1]["oracle"] == "1"
+        assert rows[1]["error"] == (
+            "closed: sum_sixth_closed: numerator not divisible by 4 (remainder 1); oracle: ok"
+        )
+        assert "sum_g6: 1/4 match" in captured.err
+
 
 class TestBench:
     @pytest.mark.parametrize("identity", verifier.identity_ids())
@@ -536,19 +552,20 @@ class TestStartUp:
             ]
         assert found == ["IdentityDescriptor"]
 
-    def test_cli_import_skips_the_property_suites(self):
-        # no CLI command uses them; gibsum loads them on first access
+    def test_package_import_is_lean(self):
+        # the Python API's path: importing gibsum loads none of these, and
+        # -S keeps site's .pth files from loading them first
         src = str(Path(gibsum.__file__).parents[1])
         script = (
-            "import sys, gibsum.cli; print('gibsum.properties' in sys.modules); "
-            "from gibsum import check_telescoping; print('gibsum.properties' in sys.modules)"
+            "import sys, gibsum; print(sorted(m for m in ('decimal', 'fractions', 'json', "
+            "'argparse', 'dataclasses', 'typing') if m in sys.modules))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("argv, loaded", [
         # verify formats its own rows, and a small int prints through str()

@@ -1,4 +1,4 @@
-"""Registry, single-point verification, sweeps, and property suites."""
+"""Registry, single-point verification and sweeps."""
 
 import dataclasses
 import inspect
@@ -13,13 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (
-    FULL_N_RANGE, FULL_T_RANGE, GRID_SEEDS, TELESCOPE_SEEDS, TELESCOPE_SHIFTS, unlimited_int_str,
-)
+from conftest import FULL_N_RANGE, FULL_T_RANGE, GRID_SEEDS, unlimited_int_str
 from gibsum import (
     DomainError,
     GridSpec,
-    POINT_IDENTITY_IDS,
     REGISTRY,
     SequenceSpec,
     TSV_COLUMNS,
@@ -27,8 +24,6 @@ from gibsum import (
     UnknownIdentityError,
     VerificationReport,
     ZeroTermError,
-    check_point_identities,
-    check_telescoping,
     descriptor,
     effective_inputs,
     identity_ids,
@@ -526,68 +521,3 @@ class TestSweep:
         assert calls == walked
         assert len(reps) == n_range[1] - n_range[0] + 1
         assert all(r.match for r in reps)
-
-
-class TestTelescoping:
-    def test_spot_ranges(self):
-        assert all(r.match for r in check_telescoping("sum_g6", F, 0, (1, 10)))
-        assert all(r.match for r in check_telescoping("sum_g6", SequenceSpec(3, 1), -3, (-5, 5)))
-        assert all(r.match for r in check_telescoping("alt_g5", SequenceSpec(2, 1), 0, (1, 10)))
-
-    def test_every_identity_over_negative_and_positive_n(self):
-        for identity_id in identity_ids():
-            for seeds in TELESCOPE_SEEDS:
-                for t in TELESCOPE_SHIFTS:
-                    reps = check_telescoping(identity_id, SequenceSpec(*seeds), t, (-20, 20))
-                    assert all(r.match for r in reps), (identity_id, seeds, t)
-
-    def test_domain_clipping(self):
-        reps = check_telescoping("fib_alt_f5l", F, 0, (-20, 20))
-        assert reps[0].n == 1 and reps[-1].n == 20
-        reps = check_telescoping("recip_fib", F, 0, (-20, 20))
-        assert reps[0].n == 2
-
-    def test_zero_term_points_pass_vacuously(self):
-        reps = check_telescoping("recip", F, 0, (1, 5))
-        assert reps and all(r.match and "zero term" in r.error for r in reps)
-
-
-class TestTelescopingProof:
-    # One check_telescoping report at n = 1 checks S(1) - S(0) = summand(1),
-    # that is E(m) - sigma E(m-1) = +-d summand(m) at m = t + 1. With
-    # (a, b) = (G(0), G(1)) and e = a^2 - b^2 + ab, both sides are
-    # polynomials of degree <= 6 in (a, b); for recip, degree <= 12 once its
-    # denominators are cleared. Every term G(0..4) is positive on the grid
-    # below, so no denominator vanishes. A polynomial of degree <= D in each
-    # variable that vanishes on a (D+1) x (D+1) grid is zero, so the row
-    # holds for all seeds at m in {1, 2}. Shifting the seeds by two indices
-    # keeps e and carries m in {1, 2} to every m of the same parity, and
-    # S(0) = 0 with telescoping then gives every n, negative n included.
-    @pytest.mark.parametrize("identity, side", [
-        ("sum_g2", 7), ("sum_g6", 7), ("alt_g5", 7), ("sum_g3g3", 7), ("recip", 13),
-    ])
-    def test_general_form_holds_for_all_seeds_shifts_and_lengths(self, identity, side):
-        for a in range(1, side + 1):
-            for b in range(1, side + 1):
-                for t in (0, 1):
-                    (report,) = check_telescoping(identity, SequenceSpec(a, b), t, (1, 1))
-                    assert report.match and report.error is None, (a, b, t)
-
-
-class TestPointIdentities:
-    @pytest.mark.parametrize("seeds", GRID_SEEDS)
-    def test_all_hold(self, seeds):
-        reps = check_point_identities(SequenceSpec(*seeds), (-30, 30), (-10, 10))
-        assert all(r.match for r in reps)
-        assert {r.identity for r in reps} == set(POINT_IDENTITY_IDS)
-
-    def test_report_count(self):
-        reps = check_point_identities(F, (-2, 2), (0, 3))
-        # 5 r-values, 6 single-index identities plus 4 s-values of vajda10a
-        assert len(reps) == 5 * (6 + 4)
-
-    def test_spot_vajda28(self):
-        reps = check_point_identities(F, (1, 1), (0, 0))
-        by_id = {r.identity: r for r in reps}
-        assert by_id["vajda28"].closed == "2"  # F(1) F(3) = 1 * 2
-        assert by_id["vajda28"].match
