@@ -12,6 +12,30 @@ FULL_T_RANGE = (-8, 8)
 FULL_N_RANGE = (0, 40)
 
 
+# the five general forms, one per summand family, and the side of the seed
+# grid that proves each
+GENERAL_FORMS = {"sum_g2": 7, "sum_g6": 7, "alt_g5": 7, "sum_g3g3": 7, "recip": 13}
+
+
+# the one-index point identities at r: id -> (left side, right side) from
+# g = G(r-2) .. G(r+2), keyed -2 .. 2, and se = (-1)^r e
+ONE_INDEX = {
+    "vajda28": lambda g, se: (g[0] * g[2], g[1] ** 2 + se),
+    "catalan_shift2": lambda g, se: (g[-2] * g[2], g[0] ** 2 + se),
+    "doubling_sub": lambda g, se: (g[2] - g[-1], 2 * g[0]),
+    "doubling_add": lambda g, se: (g[2] + g[-1], 2 * g[1]),
+    "square_window_sum": lambda g, se: ((g[0] * g[1] * g[2]) ** 2 + (g[-1] * g[0] * g[1]) ** 2,
+                                        2 * g[0] ** 4 * g[1] ** 2 + 2 * g[1] ** 4 * g[0] ** 2),
+    "square_window_diff": lambda g, se: ((g[0] * g[1] * g[2]) ** 2 - (g[-1] * g[0] * g[1]) ** 2,
+                                         4 * g[0] ** 3 * g[1] ** 3),
+}
+
+
+def seed_grid(side):
+    """Every seed pair (a, b) with 1 <= a, b <= side."""
+    return tuple((a, b) for a in range(1, side + 1) for b in range(1, side + 1))
+
+
 def scan_first_zero(spec, lo, hi):
     """Smallest index in [lo, hi] whose term is zero, or None.
 

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import FULL_N_RANGE, FULL_T_RANGE, GRID_SEEDS
+from conftest import FULL_N_RANGE, FULL_T_RANGE, GENERAL_FORMS, GRID_SEEDS, ONE_INDEX, seed_grid
 from gibsum import (
     FIBONACCI,
     LUCAS,
@@ -39,11 +39,6 @@ from gibsum.sequences import window
 
 FULL_GRID = GridSpec(seeds=GRID_SEEDS, t_range=FULL_T_RANGE, n_range=FULL_N_RANGE)
 FULL_GRID_POINTS = len(GRID_SEEDS) * 17 * 41  # 6 seeds x t in [-8,8] x n in [0,40]
-
-
-def seed_grid(side):
-    """Every seed pair (a, b) with 1 <= a, b <= side."""
-    return tuple((a, b) for a in range(1, side + 1) for b in range(1, side + 1))
 
 
 @contextmanager
@@ -182,11 +177,6 @@ def test_criterion_5_cubes_product_and_reciprocals():
             assert anchored == Fraction(oracle_sum(SummandKind.ALT_FIFTH_NEIGHBOR, LUCAS, 0, n), 5)
 
 
-# the five general forms, one per summand family, and the side of the seed
-# grid that proves each
-GENERAL_FORMS = {"sum_g2": 7, "sum_g6": 7, "alt_g5": 7, "sum_g3g3": 7, "recip": 13}
-
-
 def test_criterion_6_telescoping_all_identities():
     # A report at n = 1 checks S(1) = summand(1), and S(0) = 0 by
     # construction, so it checks E(m) - sigma E(m-1) = d summand(m) at
@@ -207,20 +197,6 @@ def test_criterion_6_telescoping_all_identities():
             assert all(r.match and r.error is None for r in reports), identity
         forms = {CATALOG[identity][0] for identity in GENERAL_FORMS}
         assert all(row[0] in forms for row in CATALOG.values())
-
-
-# the one-index point identities at r: id -> (left side, right side) from
-# g = G(r-2) .. G(r+2), keyed -2 .. 2, and se = (-1)^r e
-ONE_INDEX = {
-    "vajda28": lambda g, se: (g[0] * g[2], g[1] ** 2 + se),
-    "catalan_shift2": lambda g, se: (g[-2] * g[2], g[0] ** 2 + se),
-    "doubling_sub": lambda g, se: (g[2] - g[-1], 2 * g[0]),
-    "doubling_add": lambda g, se: (g[2] + g[-1], 2 * g[1]),
-    "square_window_sum": lambda g, se: ((g[0] * g[1] * g[2]) ** 2 + (g[-1] * g[0] * g[1]) ** 2,
-                                        2 * g[0] ** 4 * g[1] ** 2 + 2 * g[1] ** 4 * g[0] ** 2),
-    "square_window_diff": lambda g, se: ((g[0] * g[1] * g[2]) ** 2 - (g[-1] * g[0] * g[1]) ** 2,
-                                         4 * g[0] ** 3 * g[1] ** 3),
-}
 
 
 def test_criterion_7_point_identities():

@@ -81,6 +81,12 @@ class TestTerm:
             assert term(spec, k + 2) == term(spec, k + 1) + term(spec, k)
 
     @pytest.mark.parametrize("seeds", GRID_SEEDS)
+    def test_matches_naive_iteration(self, seeds):
+        spec = SequenceSpec(*seeds)
+        for k in range(-200, 201):
+            assert term(spec, k) == term_naive(spec, k)
+
+    @pytest.mark.parametrize("seeds", GRID_SEEDS)
     def test_linear_representation(self, seeds):
         g0, g1 = seeds
         spec = SequenceSpec(g0, g1)

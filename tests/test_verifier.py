@@ -1,4 +1,5 @@
-"""Registry, single-point verification and sweeps."""
+"""Registry, single-point verification, sweeps, and the telescoping and point
+identities checked side by side."""
 
 import dataclasses
 import inspect
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FULL_N_RANGE, FULL_T_RANGE, GRID_SEEDS, unlimited_int_str
+from conftest import (
+    FULL_N_RANGE, FULL_T_RANGE, GENERAL_FORMS, GRID_SEEDS, ONE_INDEX, seed_grid, unlimited_int_str,
+)
 from gibsum import (
     DomainError,
     GridSpec,
@@ -24,16 +27,21 @@ from gibsum import (
     UnknownIdentityError,
     VerificationReport,
     ZeroTermError,
+    characteristic_e,
     descriptor,
     effective_inputs,
     identity_ids,
+    lucas,
     oracle_sum,
+    oracle_term,
     render_value,
     sweep,
+    term,
     verify_one,
 )
 from gibsum import closed_forms, render, verifier
 from gibsum.render import STR_CUTOFF_BITS
+from gibsum.sequences import window
 
 F = SequenceSpec(0, 1)
 
@@ -521,3 +529,98 @@ class TestSweep:
         assert calls == walked
         assert len(reps) == n_range[1] - n_range[0] + 1
         assert all(r.match for r in reps)
+
+
+def telescoping_steps(identity_id, spec, t, n_range):
+    """(n, left, right, error) for S(n) - S(n-1) = summand(n) at each n.
+
+    The left side uses only the closed form, the right side only
+    oracle_term, so no oracle sum takes part. The range is clipped so S(n)
+    and S(n-1) both lie in the identity's n-domain. A point where either
+    side hits a zero term has left and right None and the error recorded.
+    """
+    desc = descriptor(identity_id)
+    spec, t = effective_inputs(desc, spec, t)
+    lo, hi = n_range
+    if desc.min_n is not None:
+        lo = max(lo, desc.min_n + 1)
+    steps = []
+    for n in range(lo, hi + 1):
+        try:
+            left = desc.closed(spec, t, n) - desc.closed(spec, t, n - 1)
+            right = desc.from_oracle(oracle_term(desc.kind, spec, t, n))
+        except ZeroTermError as exc:
+            steps.append((n, None, None, str(exc)))
+        else:
+            steps.append((n, left, right, None))
+    return steps
+
+
+def steps_hold(steps):
+    return all(left == right for _, left, right, _ in steps)
+
+
+class TestTelescoping:
+    SEEDS = ((0, 1), (2, 1), (3, 1))
+    SHIFTS = (-3, 0, 4)
+
+    def test_spot_ranges(self):
+        assert steps_hold(telescoping_steps("sum_g6", F, 0, (1, 10)))
+        assert steps_hold(telescoping_steps("sum_g6", SequenceSpec(3, 1), -3, (-5, 5)))
+        assert steps_hold(telescoping_steps("alt_g5", SequenceSpec(2, 1), 0, (1, 10)))
+
+    def test_every_identity_over_negative_and_positive_n(self):
+        for identity_id in identity_ids():
+            for seeds in self.SEEDS:
+                for t in self.SHIFTS:
+                    steps = telescoping_steps(identity_id, SequenceSpec(*seeds), t, (-20, 20))
+                    assert steps and steps_hold(steps), (identity_id, seeds, t)
+
+    def test_domain_clipping(self):
+        steps = telescoping_steps("fib_alt_f5l", F, 0, (-20, 20))
+        assert steps[0][0] == 1 and steps[-1][0] == 20
+        steps = telescoping_steps("recip_fib", F, 0, (-20, 20))
+        assert steps[0][0] == 2
+
+    def test_zero_term_points_pass_vacuously(self):
+        steps = telescoping_steps("recip", F, 0, (1, 5))
+        assert steps and steps_hold(steps)
+        assert all(left is None and "zero term" in error for _, left, _, error in steps)
+
+
+class TestTelescopingProof:
+    # The closed-form route to criterion 6: the step at n = 1 is
+    # E(m) - sigma E(m-1) = d summand(m) at m = t + 1, here with the summand
+    # from oracle_term rather than an oracle sum. The grid argument of
+    # criterion 6 then gives all seeds, shifts and lengths.
+    @pytest.mark.parametrize("identity, side", GENERAL_FORMS.items())
+    def test_general_form_holds_for_all_seeds_shifts_and_lengths(self, identity, side):
+        for a, b in seed_grid(side):
+            for t in (0, 1):
+                ((_, left, right, error),) = telescoping_steps(identity, SequenceSpec(a, b), t, (1, 1))
+                assert error is None and left == right, (a, b, t)
+
+
+class TestPointIdentities:
+    # criterion 7 proves these on a seed grid at r, s in {0, 1}; this samples
+    # them far from it, at negative seeds and over r in [-30, 30],
+    # s in [-10, 10]
+    @pytest.mark.parametrize("seeds", GRID_SEEDS)
+    def test_all_hold(self, seeds):
+        spec = SequenceSpec(*seeds)
+        e = characteristic_e(spec)
+        for r in range(-30, 31):
+            g = dict(zip(range(-2, 3), window(spec, r - 2, 5)))
+            se = -e if r % 2 else e
+            for pid, sides in ONE_INDEX.items():
+                left, right = sides(g, se)
+                assert left == right, (pid, r)
+            for s in range(-10, 11):
+                left = term(spec, r + s) + (-1) ** s * term(spec, r - s)
+                assert left == lucas(s) * g[0], ("vajda10a", r, s)
+
+    def test_spot_vajda28(self):
+        # r = 1: F(1) F(3) = F(2)^2 + (-1)^1 e, with e = -1 for Fibonacci
+        g = dict(zip(range(-2, 3), window(F, -1, 5)))
+        assert characteristic_e(F) == -1
+        assert ONE_INDEX["vajda28"](g, 1) == (2, 2)
